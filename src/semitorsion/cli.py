@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or parse error, 2 a mathematical
-violation was found (search modes and the per-gap check).
+Exit codes: 0 success, 1 usage, parse or output-file error, 2 a
+mathematical violation was found (search modes and the per-gap check).
 """
 
 from __future__ import annotations
@@ -89,7 +89,17 @@ def cmd_hw(args) -> int:
     return 0 if report.all_positive else 2
 
 
+def _jobs_default() -> int | None:
+    """SEMITORSION_JOBS as an int (1 when unset); None when it does not parse."""
+    try:
+        return int(os.environ.get("SEMITORSION_JOBS", "1"))
+    except ValueError:
+        return None
+
+
 def cmd_search(args) -> int:
+    if args.jobs is None:
+        raise ValueError("SEMITORSION_JOBS is not an integer; pass --jobs N")
     spec = SearchSpec(
         ab_max=args.ab_max,
         mode=args.mode,
@@ -152,7 +162,8 @@ def build_parser() -> _Parser:
                           help="ideal generator window width (0: a+b)")
     p_search.add_argument("--mu-max", type=int, default=3)
     p_search.add_argument("--jobs", type=int,
-                          default=int(os.environ.get("SEMITORSION_JOBS", "1")))
+                          default=_jobs_default(),
+                          help="worker processes (default: $SEMITORSION_JOBS or 1)")
     p_search.add_argument("--out", default=None,
                           help="JSON-lines output path")
     p_search.add_argument("--seed", type=int, default=0)
@@ -167,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"semitorsion: error: {exc}", file=sys.stderr)
         return 1
 

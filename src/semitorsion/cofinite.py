@@ -1,78 +1,131 @@
-"""Cofinite integer sets: a finite sorted head plus a full tail [threshold, oo)."""
+"""Cofinite integer sets: a finite head bitmask plus a full tail [threshold, oo).
+
+The head is one Python int read at an offset: bit i stands for lo + i.
+Bulk operations are word operations on aligned windows of those ints
+(shift-and-OR sums, `&`, `|`, `& ~`), after the bit-parallel semigroup
+algorithms of Fromentin and Hivert (arXiv:1305.3831).
+"""
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
-import numpy as np
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(bits: int) -> bytes:
+    """Byte i is bit i of `bits` (non-negative), up to its highest set bit."""
+    return bin(bits)[:1:-1].encode().translate(_DIGITS)
+
+
+def bit_positions(bits: int, offset: int = 0) -> list[int]:
+    """offset + i for every set bit i of `bits` (non-negative), ascending."""
+    flags = bit_flags(bits)
+    return list(compress(range(offset, offset + len(flags)), flags))
+
+
+def reverse_bits(bits: int, width: int) -> int:
+    """Bit i of the result is bit width - 1 - i of `bits` (< 2**width)."""
+    return int(format(bits, f"0{width}b")[::-1], 2)
 
 
 class CofiniteSet:
     """Set of integers containing every z >= threshold.
 
-    `below` holds the members strictly less than `threshold`, sorted.
-    The constructor normalizes: duplicates and elements >= threshold are
-    dropped, then the threshold is pulled down while threshold - 1 is a
-    member, so equal sets always have equal (threshold, below) pairs.
+    Below the threshold the members are lo + i for the set bits i of
+    `bits`; `lo` is the least member (threshold when the head is empty).
+    Construction normalizes: bits at or above the threshold are dropped,
+    the threshold is pulled down while threshold - 1 is a member, and
+    the offset moves up to the least member, so equal sets always have
+    equal (threshold, lo, bits) triples.
     """
 
-    __slots__ = ("threshold", "below", "_head")
+    __slots__ = ("threshold", "lo", "bits")
 
     threshold: int
-    below: tuple[int, ...]
+    lo: int
+    bits: int
 
     def __init__(self, threshold: int, below: Iterable[int] = ()):
         t = int(threshold)
-        head = sorted(set(int(x) for x in below if x < t))
-        while head and head[-1] == t - 1:
-            head.pop()
-            t -= 1
-        self.threshold = t
-        self.below = tuple(head)
-        self._head = frozenset(head)
+        head = {int(x) for x in below if x < t}
+        lo = min(head, default=t)
+        self._normalize(t, lo, sum(1 << (x - lo) for x in head))
+
+    @classmethod
+    def from_bits(cls, threshold: int, lo: int, bits: int) -> "CofiniteSet":
+        """{lo + i : bit i of bits} together with [threshold, oo)."""
+        out = object.__new__(cls)
+        out._normalize(threshold, lo, bits)
+        return out
+
+    def _normalize(self, t: int, lo: int, bits: int) -> None:
+        lo = min(lo, t)
+        # the run of ones ending at t - 1 belongs to the tail
+        width = (~bits & ((1 << (t - lo)) - 1)).bit_length()
+        bits &= (1 << width) - 1
+        low = (bits & -bits).bit_length() - 1 if bits else width
+        self.threshold, self.lo, self.bits = lo + width, lo + low, bits >> low
+
+    @property
+    def below(self) -> tuple[int, ...]:
+        """The members strictly less than `threshold`, sorted."""
+        return tuple(bit_positions(self.bits, self.lo))
+
+    def window(self, lo: int, hi: int) -> int:
+        """Membership bits of [lo, hi): bit i is set iff lo + i is a member."""
+        if hi <= lo:
+            return 0
+        d = self.lo - lo
+        head = self.bits << d if d >= 0 else self.bits >> -d
+        start = max(self.threshold - lo, 0)
+        tail = ((1 << (hi - lo - start)) - 1) << start if hi > self.threshold else 0
+        return (head | tail) & ((1 << (hi - lo)) - 1)
 
     def contains(self, z: int) -> bool:
-        return z >= self.threshold or z in self._head
+        if z >= self.threshold:
+            return True
+        d = z - self.lo
+        return d >= 0 and (self.bits >> d) & 1 == 1
 
     __contains__ = contains
 
     @property
     def min_element(self) -> int:
-        return self.below[0] if self.below else self.threshold
+        return self.lo
 
     def members_upto(self, bound: int) -> list[int]:
         """All members z <= bound, ascending."""
-        out = [x for x in self.below if x <= bound]
-        out.extend(range(self.threshold, bound + 1))
-        return out
+        return bit_positions(self.window(self.lo, bound + 1), self.lo)
 
     def intersect(self, other: "CofiniteSet") -> "CofiniteSet":
         t = max(self.threshold, other.threshold)
-        head = [x for x in self.members_upto(t - 1) if x in other]
-        return CofiniteSet(t, head)
+        lo = max(self.lo, other.lo)
+        return CofiniteSet.from_bits(
+            t, lo, self.window(lo, t) & other.window(lo, t))
 
     def union(self, other: "CofiniteSet") -> "CofiniteSet":
         t = min(self.threshold, other.threshold)
-        head = set(x for x in self.below if x < t)
-        head.update(x for x in other.below if x < t)
-        return CofiniteSet(t, head)
+        lo = min(self.lo, other.lo)
+        return CofiniteSet.from_bits(
+            t, lo, self.window(lo, t) | other.window(lo, t))
 
     def shift(self, c: int) -> "CofiniteSet":
-        return CofiniteSet(self.threshold + c, (x + c for x in self.below))
+        return CofiniteSet.from_bits(self.threshold + c, self.lo + c, self.bits)
 
     def sumset(self, other: "CofiniteSet") -> "CofiniteSet":
         """{x + y : x in self, y in other}.
 
         Every z >= min(self) + other.threshold (and symmetrically) is a
-        sum, so only head-by-head sums below that bound are enumerated.
+        sum, so only head-by-head sums below that bound matter: the OR
+        of one head shifted by each member of the other.
         """
-        t = min(self.min_element + other.threshold,
-                other.min_element + self.threshold)
-        if len(self.below) * len(other.below) > 4096:
-            sums = _sumset_by_convolution(self.below, other.below, t)
-        else:
-            sums = {x + y for x in self.below for y in other.below if x + y < t}
-        return CofiniteSet(t, sums)
+        t = min(self.lo + other.threshold, other.lo + self.threshold)
+        acc = 0
+        for d in bit_positions(self.bits):
+            acc |= other.bits << d
+        return CofiniteSet.from_bits(t, self.lo + other.lo, acc)
 
     def difference(self, other: "CofiniteSet") -> list[int]:
         """Sorted members of self not in other; always finite.
@@ -81,7 +134,8 @@ class CofiniteSet:
         so the difference lives below it.
         """
         t = max(self.threshold, other.threshold)
-        return [x for x in self.members_upto(t - 1) if x not in other]
+        lo = self.lo
+        return bit_positions(self.window(lo, t) & ~other.window(lo, t), lo)
 
     def issubset(self, other: "CofiniteSet") -> bool:
         return not self.difference(other)
@@ -90,29 +144,17 @@ class CofiniteSet:
         return (
             isinstance(other, CofiniteSet)
             and self.threshold == other.threshold
-            and self.below == other.below
+            and self.lo == other.lo
+            and self.bits == other.bits
         )
 
     def __hash__(self) -> int:
-        return hash((self.threshold, self.below))
+        return hash((self.threshold, self.lo, self.bits))
 
     def __repr__(self) -> str:
         head = ",".join(str(x) for x in self.below)
         sep = "," if head else ""
         return f"{{{head}{sep}{self.threshold}->}}"
-
-
-def _sumset_by_convolution(xs: tuple[int, ...], ys: tuple[int, ...],
-                           bound: int) -> list[int]:
-    lo = xs[0] + ys[0]
-    if bound <= lo:
-        return []
-    a = np.zeros(xs[-1] - xs[0] + 1, dtype=np.int32)
-    a[[x - xs[0] for x in xs]] = 1
-    b = np.zeros(ys[-1] - ys[0] + 1, dtype=np.int32)
-    b[[y - ys[0] for y in ys]] = 1
-    hits = np.convolve(a, b).nonzero()[0]
-    return [int(h) + lo for h in hits if h + lo < bound]
 
 
 def set_difference_card(x: CofiniteSet, y: CofiniteSet) -> int:

@@ -32,25 +32,30 @@ class RouteDisagreementError(RuntimeError):
     """The direct triple scan and the dual-quotient route disagreed."""
 
 
-def pairs_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
-    """{x : x in S and x + n in S}; contains every x > F."""
+def _progressions(s: NumericalSemigroup, n: int, terms: int) -> CofiniteSet:
+    """{x : x, x + n, ..., x + (terms-1)n all in S}; contains every x > F.
+
+    Over [0, F] this is M & (M >> n) & (M >> 2n) ... for the membership
+    bits M of S.
+    """
     if n <= 0:
         raise ValueError(f"step must be positive, got {n}")
     t = s.frobenius + 1
-    return CofiniteSet(
-        t, [x for x in range(t) if s.contains(x) and s.contains(x + n)]
-    )
+    m = s.mask(t + (terms - 1) * n)
+    bits = m
+    for k in range(1, terms):
+        bits &= m >> (k * n)
+    return CofiniteSet.from_bits(t, 0, bits)
+
+
+def pairs_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
+    """{x : x in S and x + n in S}; contains every x > F."""
+    return _progressions(s, n, 2)
 
 
 def triples_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
-    if n <= 0:
-        raise ValueError(f"step must be positive, got {n}")
-    t = s.frobenius + 1
-    return CofiniteSet(
-        t,
-        [x for x in range(t)
-         if s.contains(x) and s.contains(x + n) and s.contains(x + 2 * n)],
-    )
+    """{x : x, x + n and x + 2n in S}; contains every x > F."""
+    return _progressions(s, n, 3)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cofinite import CofiniteSet
+from .cofinite import CofiniteSet, reverse_bits
 from .ideals import (RelativeIdeal, apery_set, ideal_sum, make_ideal,
                      minimal_generators_of_set)
 from .semigroup import NumericalSemigroup, make_semigroup
@@ -84,8 +84,8 @@ class OrderedGenerators:
     """Generator representatives with x1 < ... < xn < x1 + b.
 
     The matching chain y1 > ... > yn > y1 - a then holds as well; it is
-    asserted at construction since a violation would be a bug rather
-    than bad input.
+    checked at construction, and a violation raises RuntimeError since
+    it would be a bug rather than bad input.
     """
 
     pairs: tuple[LatticeClass, ...]
@@ -99,9 +99,10 @@ def ordered_generators(h: HypersurfaceSemigroup,
                    key=lambda p: p.x)
     xs = [p.x for p in pairs]
     ys = [p.y for p in pairs]
-    assert all(xs[i] < xs[i + 1] for i in range(len(xs) - 1)), xs
-    assert all(ys[i] > ys[i + 1] for i in range(len(ys) - 1)), ys
-    assert len(ys) == 1 or ys[-1] > ys[0] - h.a, ys
+    if (any(xs[i] >= xs[i + 1] or ys[i] <= ys[i + 1]
+            for i in range(len(xs) - 1)) or ys[-1] <= ys[0] - h.a):
+        raise RuntimeError(
+            f"generator chain of {ideal!r} is not ordered: x={xs}, y={ys}")
     return OrderedGenerators(tuple(pairs),
                              tuple(h.a * p.x + h.b * p.y for p in pairs))
 
@@ -179,11 +180,13 @@ def dual_symmetric(s_or_h: HypersurfaceSemigroup | NumericalSemigroup,
         raise ValueError("ideal does not live over the given semigroup")
     if not s.is_symmetric():
         raise ValueError(f"{s!r} is not symmetric")
+    # z in [F + 1 - threshold, F + 1 - min) maps to F - z in the ideal's
+    # head window, so the head is the reversed complement of its bits.
     f = s.frobenius
-    lo = f - ideal.set.threshold + 1
-    t = f - ideal.set.min_element + 1
-    head = [z for z in range(lo, t) if (f - z) not in ideal.set]
-    cset = CofiniteSet(t, head)
+    own = ideal.set
+    width = own.threshold - own.lo
+    bits = reverse_bits(own.bits ^ ((1 << width) - 1), width)
+    cset = CofiniteSet.from_bits(f + 1 - own.lo, f + 1 - own.threshold, bits)
     return RelativeIdeal(s, minimal_generators_of_set(s, cset), cset)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .cofinite import CofiniteSet, set_difference_card
+from .cofinite import CofiniteSet, bit_positions, set_difference_card
 from .semigroup import NumericalSemigroup
 
 __all__ = [
@@ -90,13 +90,14 @@ def _reduce_generators(s: NumericalSemigroup, gens: Iterable[int]) -> tuple[int,
 
 
 def _build_set(s: NumericalSemigroup, gens: tuple[int, ...]) -> CofiniteSet:
-    # Everything at or above max(gens) + F + 1 lies in max(gens) + S.
+    # Everything at or above max(gens) + F + 1 lies in max(gens) + S;
+    # below it the set is the OR of the translates g + S.
+    g0 = gens[0]
     t = gens[-1] + s.frobenius + 1
-    head = [
-        z for z in range(gens[0], t)
-        if any(s.contains(z - g) for g in gens)
-    ]
-    return CofiniteSet(t, head)
+    bits = 0
+    for g in gens:
+        bits |= s.mask(t - g) << (g - g0)
+    return CofiniteSet.from_bits(t, g0, bits)
 
 
 def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdeal:
@@ -113,15 +114,16 @@ def minimal_generators_of_set(s: NumericalSemigroup,
     """Minimal generators of a cofinite set that is closed under adding s.
 
     An element is a generator iff subtracting any semigroup generator
-    leaves the set; candidates above threshold + multiplicity are never
-    generators since subtracting the multiplicity stays in the tail.
+    leaves the set; candidates at or above threshold + multiplicity are
+    never generators since subtracting the multiplicity stays in the
+    tail. Over that window the generators are own & ~OR(own << n).
     """
-    candidates = list(cset.below)
-    candidates.extend(range(cset.threshold, cset.threshold + s.multiplicity))
-    return tuple(
-        m for m in candidates
-        if all(m - n not in cset for n in s.generators)
-    )
+    lo = cset.lo
+    own = cset.window(lo, cset.threshold + s.multiplicity)
+    reached = 0
+    for n in s.generators:
+        reached |= own << n
+    return tuple(bit_positions(own & ~reached, lo))
 
 
 def _from_set(s: NumericalSemigroup, cset: CofiniteSet) -> RelativeIdeal:
@@ -152,17 +154,17 @@ def ideal_dual(a: RelativeIdeal) -> RelativeIdeal:
     """{z : z + a is contained in the semigroup}.
 
     Membership only needs checking against the minimal generators; the
-    candidate window is [-min_gen, F + 1 - min_gen] since past its top
+    candidate window is [-min_gen, F + 1 - min_gen) since past its top
     every shift of every generator lands above the Frobenius number.
+    Over the window the dual is the AND of S >> (g - min_gen).
     """
     s = a.semigroup
-    lo = -a.min_gens[0]
-    t = s.frobenius + 1 - a.min_gens[0]
-    head = [
-        z for z in range(lo, t)
-        if all(s.contains(z + g) for g in a.min_gens)
-    ]
-    return _from_set(s, CofiniteSet(t, head))
+    g0 = a.min_gens[0]
+    width = s.frobenius + 1
+    bits = (1 << width) - 1
+    for g in a.min_gens:
+        bits &= s.mask(width + g - g0) >> (g - g0)
+    return _from_set(s, CofiniteSet.from_bits(width - g0, -g0, bits))
 
 
 def ideal_shift(a: RelativeIdeal, c: int) -> RelativeIdeal:

@@ -153,8 +153,10 @@ class TauEngine:
         # idx[k, w, i, j] = z[w] - ga[i] - gb[k][j]
         idx = z[None, :, None, None] - sums[:, None, :, :]
         edges = self._member(idx).reshape(len(gbs), len(z), ma * mb)
-        pow2 = (1 << np.arange(ma * mb, dtype=np.int64))
-        masks = edges.astype(np.int64) @ pow2
+        # int64 holds 63 edge bits; wider masks fall back to Python ints
+        dtype = np.int64 if ma * mb < 64 else object
+        pow2 = 1 << np.arange(ma * mb, dtype=dtype)
+        masks = edges.astype(dtype) @ pow2
         vals, inv = np.unique(masks, return_inverse=True)
         lut = np.array([_tau_of_mask(int(v), ma, mb) for v in vals],
                        dtype=np.int64)

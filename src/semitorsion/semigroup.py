@@ -6,21 +6,26 @@ import math
 from functools import lru_cache
 from typing import Iterable
 
+from .cofinite import bit_flags, reverse_bits
+
 
 class NumericalSemigroup:
     """A submonoid of the non-negative integers with finite complement.
 
     Stores the minimal generating set, the Frobenius number (largest
-    integer not in the semigroup, -1 for the full monoid) and a boolean
-    membership table over [0, frobenius] so that `contains` is O(1).
-    Instances are immutable and hashable.
+    integer not in the semigroup, -1 for the full monoid), a byte table
+    over [0, frobenius] so that scalar `contains` is O(1), and the same
+    membership as the int `bits` (bit z set iff z is a member) for the
+    word-parallel scans. Instances are immutable and hashable.
     """
 
-    __slots__ = ("generators", "frobenius", "multiplicity", "_table", "_hash")
+    __slots__ = ("generators", "frobenius", "multiplicity", "bits",
+                 "_table", "_hash")
 
     generators: tuple[int, ...]
     frobenius: int
     multiplicity: int
+    bits: int
 
     def __init__(self, generators: Iterable[int]):
         gens = sorted(set(int(g) for g in generators))
@@ -34,10 +39,9 @@ class NumericalSemigroup:
                 "the complement would be infinite"
             )
 
-        table = _membership_table(gens)
-        frob = len(table) - 1
-        while frob >= 0 and table[frob]:
-            frob -= 1
+        bits = _membership_bits(gens)
+        table = bit_flags(bits)
+        frob = (~bits & ((1 << len(table)) - 1)).bit_length() - 1
 
         minimal = tuple(
             g for g in gens
@@ -47,7 +51,8 @@ class NumericalSemigroup:
         self.frobenius = frob
         self.multiplicity = minimal[0]
         # Queries above the Frobenius number never touch the table.
-        self._table = bytes(table[: max(frob + 1, 1)])
+        self._table = table[: max(frob + 1, 1)]
+        self.bits = bits & ((1 << (frob + 1)) - 1)
         self._hash = hash(minimal)
 
     def contains(self, z: int) -> bool:
@@ -59,6 +64,13 @@ class NumericalSemigroup:
 
     __contains__ = contains
 
+    def mask(self, hi: int) -> int:
+        """Membership bits of [0, hi), the tail past frobenius filled in."""
+        top = self.frobenius + 1
+        if hi <= top:
+            return self.bits & ((1 << max(hi, 0)) - 1)
+        return self.bits | (((1 << (hi - top)) - 1) << top)
+
     def gaps(self) -> list[int]:
         """The non-members in [0, frobenius], ascending."""
         return [z for z in range(self.frobenius + 1) if not self._table[z]]
@@ -69,13 +81,12 @@ class NumericalSemigroup:
     def is_symmetric(self) -> bool:
         """True iff z is a member exactly when frobenius - z is not.
 
-        Checking z in [-1, frobenius + 1] suffices: outside that window
-        one side is forced negative and the other forced above F.
+        Checking z in [0, frobenius] suffices: outside that window one
+        side is forced negative and the other forced above F. There the
+        condition says the reversed membership bits are their complement.
         """
-        f = self.frobenius
-        return all(
-            self.contains(z) != self.contains(f - z) for z in range(-1, f + 2)
-        )
+        width = self.frobenius + 1
+        return reverse_bits(self.bits, width) == self.bits ^ ((1 << width) - 1)
 
     def members_upto(self, bound: int) -> list[int]:
         """All members in [0, bound]."""
@@ -94,29 +105,27 @@ class NumericalSemigroup:
         return f"NumericalSemigroup({list(self.generators)})"
 
 
-def _membership_table(gens: list[int]) -> bytearray:
-    """Boolean table of non-negative combinations of `gens`.
+def _membership_bits(gens: list[int]) -> int:
+    """Bit z set iff z is a non-negative combination of `gens`, z <= bound.
 
     The bound starts at the product of the two largest generators, which
     is past the Frobenius number for any generating set with gcd 1, and
-    doubles until the tail of the table is a full run of length
-    min(gens) (past that point every integer decomposes).
+    doubles until the top min(gens) bits are a full run (past that point
+    every integer decomposes). Closing under one generator g takes
+    log(bound / g) shift-and-ORs by g, 2g, 4g, ...
     """
     lead = gens[-1] * (gens[-2] if len(gens) > 1 else gens[-1])
     bound = max(lead, gens[-1] + 1, 2)
     step = gens[0]
     while True:
-        table = bytearray(bound + 1)
-        table[0] = 1
-        for z in range(gens[0], bound + 1):
-            for g in gens:
-                if g > z:
-                    break
-                if table[z - g]:
-                    table[z] = 1
-                    break
-        if all(table[bound - step + 1 : bound + 1]):
-            return table
+        full = (1 << (bound + 1)) - 1
+        bits = 1
+        for g in gens:
+            while g <= bound:
+                bits |= (bits << g) & full
+                g *= 2
+        if bits >> (bound + 1 - step) == (1 << step) - 1:
+            return bits
         bound *= 2
 
 

@@ -36,6 +36,13 @@ class TestNormalization:
         assert (c.threshold - 1) not in c
         assert all(x < c.threshold for x in c.below)
 
+    @given(st.integers(-8, 20), st.integers(-15, 25), st.integers(0, 1 << 30))
+    def test_from_bits_is_canonical(self, t, lo, bits):
+        c = CofiniteSet.from_bits(t, lo, bits)
+        members = [lo + i for i in range(bits.bit_length()) if bits >> i & 1]
+        assert c == CofiniteSet(t, members)
+        assert c.below == tuple(x for x in sorted(members) if x < c.threshold)
+
     def test_min_element(self):
         assert CofiniteSet(5, [-3, 2]).min_element == -3
         assert CofiniteSet(5).min_element == 5

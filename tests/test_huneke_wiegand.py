@@ -1,8 +1,16 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitorsion import (CofiniteSet, hw_check_semigroup, irreducible_triples,
                          make_semigroup, pairs_set, torsion_length_2gen,
                          triples_set)
+
+
+small_semigroups = st.lists(st.integers(2, 20), min_size=2, max_size=3).filter(
+    lambda g: math.gcd(*g) == 1).map(make_semigroup)
 
 
 class TestPairsSet:
@@ -19,6 +27,17 @@ class TestPairsSet:
 
     def test_23(self):
         assert pairs_set(make_semigroup([2, 3]), 1) == CofiniteSet(2)
+
+    @given(small_semigroups, st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_progressions_vs_scan(self, s, n):
+        top = s.frobenius + 2 * n + 3
+        pairs = pairs_set(s, n)
+        triples = triples_set(s, n)
+        for x in range(-2 * n - 3, top):
+            in_pair = s.contains(x) and s.contains(x + n)
+            assert (x in pairs) == in_pair, x
+            assert (x in triples) == (in_pair and s.contains(x + 2 * n)), x
 
     def test_rejects_bad_step(self):
         s = make_semigroup([2, 3])

@@ -80,6 +80,14 @@ class TestOrderedGenerators:
         og = ordered_generators(h57, make_ideal(h57.base, [9]))
         assert len(og.pairs) == 1 and og.psi_values == (9,)
 
+    def test_broken_chain_raises(self, h57, triple, monkeypatch):
+        # the check must hold under python -O, so it is not an assert
+        import semitorsion.hypersurface as hs
+        monkeypatch.setattr(hs, "lattice_normalize",
+                            lambda h, g: LatticeClass(0, g))
+        with pytest.raises(RuntimeError, match="not ordered"):
+            ordered_generators(h57, triple)
+
     def test_two_gen_small(self):
         h = make_hypersurface(2, 3)
         og = ordered_generators(h, make_ideal(h.base, [0, 1]))
@@ -95,7 +103,7 @@ class TestOrderedGenerators:
                 for i in range(1, a + b):
                     for j in range(i + 1, a + b):
                         ideal = make_ideal(h.base, [0, i, j])
-                        og = ordered_generators(h, ideal)  # asserts internally
+                        og = ordered_generators(h, ideal)  # checks internally
                         ys = [p.y for p in og.pairs]
                         assert ys == sorted(ys, reverse=True)
 

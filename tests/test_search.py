@@ -56,6 +56,19 @@ class TestTauEngine:
                                       make_ideal(s, gb))
             assert (int(t), int(c)) == (profile.total, profile.support_size)
 
+    @pytest.mark.parametrize("a,b,mu_a,mu_b", [
+        (9, 10, 9, 8), (9, 10, 9, 9), (11, 12, 10, 11), (11, 13, 11, 11)])
+    def test_wide_masks_agree_with_profile(self, a, b, mu_a, mu_b):
+        # mu_A * mu_B > 64 edge bits no longer fit one int64 mask
+        s = make_semigroup([a, b])
+        engine = TauEngine(s)
+        ga = tuple(range(mu_a))
+        group = [tuple(range(mu_b)), tuple(range(a - mu_b, a))]
+        taus, supports = engine.tau_support_batch(ga, group)
+        for gb, t, c in zip(group, taus, supports):
+            profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
+            assert (int(t), int(c)) == (profile.total, profile.support_size), gb
+
     def test_non_canonical_tuples(self):
         s = make_semigroup([5, 7])
         engine = TauEngine(s)

@@ -1,10 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitorsion import apery_set, make_ideal, make_semigroup
 
 from conftest import knapsack_members
+
+small_semigroups = st.lists(st.integers(2, 20), min_size=2, max_size=3).filter(
+    lambda g: math.gcd(*g) == 1).map(make_semigroup)
 
 
 class TestMakeSemigroup:
@@ -121,3 +126,11 @@ class TestSymmetry:
             for b in range(a + 1, 41 // a + 1):
                 if math.gcd(a, b) == 1:
                     assert make_semigroup([a, b]).is_symmetric(), (a, b)
+
+    @given(small_semigroups)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_definition(self, s):
+        f = s.frobenius
+        expected = all(s.contains(z) != s.contains(f - z)
+                       for z in range(-1, f + 2))
+        assert s.is_symmetric() == expected
