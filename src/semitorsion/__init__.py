@@ -1,7 +1,7 @@
 """Numerical semigroups, relative ideals, and torsion numbers of
 semigroup tensor products."""
 
-from .cofinite import CofiniteSet, set_difference_card
+from .cofinite import CofiniteSet
 from .hypersurface import (BoundaryCycle, HalfMuReport, HypersurfaceSemigroup,
                            LatticeClass, OrderedGenerators, boundary_cycle,
                            check_half_mu_bound, dual_formula, dual_symmetric,
@@ -12,11 +12,10 @@ from .huneke_wiegand import (HWReport, RouteDisagreementError, TripleReport,
                              pairs_set, torsion_length_2gen, triples_set)
 from .ideals import (RelativeIdeal, SemigroupMismatchError, apery_set,
                      ideal_dual, ideal_intersect, ideal_shift, ideal_sum,
-                     is_principal, make_ideal, min_element,
-                     minimal_generators_of_set, mu)
+                     make_ideal, minimal_generators_of_set)
 from .search import (MODES, SearchSpec, SearchSummary, TauEngine,
                      canonical_ideal_gens, coprime_pairs, run_search)
-from .semigroup import NumericalSemigroup, contains, gaps, is_symmetric, make_semigroup
+from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import (FiberGraph, TorsionProfile, fiber_class_count,
                       fiber_graph, graph_to_dot, scan_window,
                       splits_torsion_free, tau_at, torsion_bound_with_correction,
@@ -44,19 +43,12 @@ __all__ = [
     "RouteDisagreementError",
     "MODES",
     "make_semigroup",
-    "contains",
-    "gaps",
-    "is_symmetric",
     "apery_set",
     "make_ideal",
     "ideal_sum",
     "ideal_intersect",
     "ideal_dual",
     "ideal_shift",
-    "is_principal",
-    "mu",
-    "min_element",
-    "set_difference_card",
     "minimal_generators_of_set",
     "fiber_graph",
     "tau_at",

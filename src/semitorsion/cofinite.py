@@ -155,12 +155,3 @@ class CofiniteSet:
         head = ",".join(str(x) for x in self.below)
         sep = "," if head else ""
         return f"{{{head}{sep}{self.threshold}->}}"
-
-
-def set_difference_card(x: CofiniteSet, y: CofiniteSet) -> int:
-    """|x \\ y|.
-
-    For this representation the difference is always finite: above
-    max(threshold_x, threshold_y) both sets contain every integer.
-    """
-    return len(x.difference(y))

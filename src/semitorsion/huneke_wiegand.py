@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cofinite import CofiniteSet
-from .ideals import ideal_dual, make_ideal, set_difference_card
+from .ideals import ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup
 
 __all__ = [
@@ -85,7 +85,7 @@ def torsion_length_2gen(s: NumericalSemigroup, n: int) -> int:
     direct = irreducible_triples(s, n).count
     pair_dual = ideal_dual(make_ideal(s, [0, n])).set
     triple_dual = ideal_dual(make_ideal(s, [0, n, 2 * n])).set
-    via_duals = set_difference_card(triple_dual, pair_dual.sumset(pair_dual))
+    via_duals = len(triple_dual.difference(pair_dual.sumset(pair_dual)))
     if direct != via_duals:
         raise RouteDisagreementError(
             f"step {n} over {s!r}: direct scan {direct} != dual route {via_duals}"

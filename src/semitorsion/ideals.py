@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .cofinite import CofiniteSet, bit_positions, set_difference_card
+from .cofinite import CofiniteSet, bit_positions
 from .semigroup import NumericalSemigroup
 
 __all__ = [
@@ -21,11 +21,7 @@ __all__ = [
     "ideal_intersect",
     "ideal_dual",
     "ideal_shift",
-    "is_principal",
-    "mu",
-    "min_element",
     "apery_set",
-    "set_difference_card",
     "minimal_generators_of_set",
 ]
 
@@ -171,18 +167,6 @@ def ideal_shift(a: RelativeIdeal, c: int) -> RelativeIdeal:
     return RelativeIdeal(a.semigroup,
                          tuple(g + c for g in a.min_gens),
                          a.set.shift(c))
-
-
-def is_principal(a: RelativeIdeal) -> bool:
-    return a.is_principal
-
-
-def mu(a: RelativeIdeal) -> int:
-    return a.mu
-
-
-def min_element(a: RelativeIdeal) -> int:
-    return a.min_element
 
 
 def apery_set(a: Union[RelativeIdeal, NumericalSemigroup], n: int) -> set[int]:

@@ -5,10 +5,11 @@ and for each semigroup all canonical ideals: minimal generator sets
 containing 0 drawn from a window [0, W). Torsion totals are shift
 invariant, so anchoring the least generator at 0 loses nothing.
 
-The torsion totals for the pair sweeps are computed by a vectorized
-engine that evaluates the fiber edge masks for a whole batch of ideals
-at once and memoizes component counts per edge mask; it is checked
-against the definitional graph construction in the test suite.
+The torsion totals for the pair sweeps are computed by a bit-parallel
+engine: the fiber edges of a whole batch of ideals, over every degree,
+are packed into one Python int per generator pair, and the component
+counter that `fiber_graph` uses runs on all of them at once. It is
+checked against the definitional graph construction in the test suite.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
+from .cofinite import bit_flags
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
-from .torsion import fiber_class_count, fiber_graph, scan_window
+from .torsion import (_component_reps, fiber_class_count, fiber_graph,
+                      scan_window)
 
 __all__ = [
     "SearchSpec",
@@ -76,97 +77,67 @@ def canonical_ideal_gens(s: NumericalSemigroup, window: int,
     return out
 
 
-# component counts per edge mask are shape-dependent but semigroup-free
-_MASK_TAU: dict[tuple[int, int, int], int] = {}
-
-
-def _tau_of_mask(mask: int, ma: int, mb: int) -> int:
-    """Torsion at one z from the edge bitmask (bit i*mb + j for v_i w_j).
-
-    Every present vertex carries at least one edge (membership in an
-    ideal means membership in some generator translate), so components
-    are exactly the transitive row-merge groups of the mask.
-    """
-    key = (mask, ma, mb)
-    cached = _MASK_TAU.get(key)
-    if cached is not None:
-        return cached
-    full = (1 << mb) - 1
-    rows = [(mask >> (i * mb)) & full for i in range(ma)]
-    rows = [r for r in rows if r]
-    comps = 0
-    while rows:
-        cur = rows.pop()
-        changed = True
-        while changed:
-            changed = False
-            rest = []
-            for r in rows:
-                if r & cur:
-                    cur |= r
-                    changed = True
-                else:
-                    rest.append(r)
-            rows = rest
-        comps += 1
-    tau = max(0, comps - 1)
-    _MASK_TAU[key] = tau
-    return tau
-
-
 class TauEngine:
-    """Vectorized torsion totals for generator tuples over one semigroup."""
+    """Torsion totals for generator tuples over one semigroup, on bit lanes."""
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
         self.f = s.frobenius
-        self._mem = np.zeros(max(self.f + 1, 1), dtype=bool)
-        for z in range(self.f + 1):
-            self._mem[z] = s.contains(z)
 
-    def _member(self, idx: np.ndarray) -> np.ndarray:
-        out = idx > self.f
-        if self.f >= 0:
-            inside = (idx >= 0) & (idx <= self.f)
-            out |= inside & self._mem[np.where(inside, idx, 0)]
-        return out
-
-    def tau_support_batch(
-        self, ga: tuple[int, ...], gbs: list[tuple[int, ...]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def tau_support_batch(self, ga: tuple[int, ...],
+                          gbs: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
         """(tau totals, support sizes) of (ga, gb) for gbs of equal length.
 
         Generator tuples must be sorted minimal sets. A shared z-window
         covers the whole batch; the extra fibers it adds for pairs with
-        smaller spread carry no torsion.
+        smaller spread carry no torsion. Each gb owns one lane of the
+        edge ints, bit w of lane k standing for degree lo + w, and the
+        lanes are spaced so that shifting by a generator of ga never
+        carries one into the next.
         """
-        mb = len(gbs[0])
-        ma = len(ga)
-        gb_arr = np.asarray(gbs, dtype=np.int64)  # (nB, mb)
-        lo = ga[0] + int(gb_arr[:, 0].min())
-        hi = self.f + ga[-1] + int(gb_arr[:, -1].max())
-        if hi < lo:
-            n = len(gbs)
-            return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        z = np.arange(lo, hi + 1, dtype=np.int64)
-        sums = np.asarray(ga, dtype=np.int64)[:, None] + gb_arr[:, None, :]
-        # idx[k, w, i, j] = z[w] - ga[i] - gb[k][j]
-        idx = z[None, :, None, None] - sums[:, None, :, :]
-        edges = self._member(idx).reshape(len(gbs), len(z), ma * mb)
-        # int64 holds 63 edge bits; wider masks fall back to Python ints
-        dtype = np.int64 if ma * mb < 64 else object
-        pow2 = 1 << np.arange(ma * mb, dtype=dtype)
-        masks = edges.astype(dtype) @ pow2
-        vals, inv = np.unique(masks, return_inverse=True)
-        lut = np.array([_tau_of_mask(int(v), ma, mb) for v in vals],
-                       dtype=np.int64)
-        tau_z = lut[inv].reshape(len(gbs), len(z))
-        return tau_z.sum(axis=1), (tau_z > 0).sum(axis=1)
+        lo = ga[0] + min(gb[0] for gb in gbs)
+        width = self.f + ga[-1] + max(gb[-1] for gb in gbs) - lo + 1
+        if width <= 0:
+            return [0] * len(gbs), [0] * len(gbs)
+        stride = width + ga[-1] - ga[0]
+        lane = (1 << width) - 1
+        member = self.s.mask(width)
+        rows = [0] * len(gbs[0])
+        for k, gb in enumerate(gbs):
+            for j, g in enumerate(gb):
+                # bit w of row j: lo + w - ga[0] - g is a semigroup member
+                d = ga[0] + g - lo
+                rows[j] |= ((member << d) & lane) << (k * stride)
+        # `lane` repeated at every stride: the repunit has bit k*stride set
+        keep = lane * (((1 << (len(gbs) * stride)) - 1) // ((1 << stride) - 1))
+        reps = _component_reps([[(row << (g - ga[0])) & keep for row in rows]
+                                for g in ga])
+        # tau at z counts the components past the first; support the z
+        # with more than one
+        tau = [0] * len(gbs)
+        seen = reps[0]
+        multi = 0
+        for r in reps[1:]:
+            extra = r & seen
+            _add_lane_counts(tau, extra, stride, width)
+            multi |= extra
+            seen |= r
+        support = [0] * len(gbs)
+        _add_lane_counts(support, multi, stride, width)
+        return tau, support
 
     def tau_support(self, ga: tuple[int, ...],
                     gb: tuple[int, ...]) -> tuple[int, int]:
         t, c = self.tau_support_batch(ga, [gb])
-        return int(t[0]), int(c[0])
+        return t[0], c[0]
+
+
+def _add_lane_counts(totals: list[int], bits: int, stride: int,
+                     width: int) -> None:
+    """Add to totals[k] the set bits of `bits` in [k*stride, k*stride + width)."""
+    flags = bit_flags(bits)
+    for k in range(len(totals)):
+        totals[k] += flags.count(1, k * stride, k * stride + width)
 
 
 @dataclass

@@ -141,15 +141,3 @@ def make_semigroup(generators: Iterable[int]) -> NumericalSemigroup:
     calls with the same generators return a shared instance.
     """
     return _cached(tuple(sorted(set(int(g) for g in generators))))
-
-
-def contains(s: NumericalSemigroup, z: int) -> bool:
-    return s.contains(z)
-
-
-def gaps(s: NumericalSemigroup) -> list[int]:
-    return s.gaps()
-
-
-def is_symmetric(s: NumericalSemigroup) -> bool:
-    return s.is_symmetric()

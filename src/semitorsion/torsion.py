@@ -7,15 +7,16 @@ number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
 Two independent computations are provided: the bipartite graph route
-(`fiber_graph`) and a direct union-find closure of the fiber itself
-(`fiber_class_count`).
+(`fiber_graph`), whose components come from the bit-parallel counter
+`_component_reps` that the search engine shares, and a bit flood fill
+of the fiber itself (`fiber_class_count`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cofinite import CofiniteSet
+from .cofinite import CofiniteSet, bit_positions, reverse_bits
 from .ideals import (RelativeIdeal, _check_same, ideal_intersect, ideal_sum,
                      make_ideal)
 
@@ -32,31 +33,39 @@ __all__ = [
 ]
 
 
-class UnionFind:
-    """Union-find over arbitrary hashable keys with path compression."""
+def _component_reps(edges: list[list[int]]) -> list[int]:
+    """Least-indexed left vertex of each component, for many graphs at once.
 
-    def __init__(self):
-        self.parent: dict = {}
-        self.count = 0
-
-    def add(self, k):
-        if k not in self.parent:
-            self.parent[k] = k
-            self.count += 1
-
-    def find(self, k):
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
+    `edges[i][j]` is an int whose bit p says that left vertex i and
+    right vertex j are joined in graph p. Every vertex present in a
+    graph must carry an edge there, so each component holds a left
+    vertex and the components are the classes of "share a right
+    neighbour" closed over the left vertices (Floyd-Warshall on bits).
+    Bit p of entry i of the result is set when left vertex i is present
+    in graph p and no lower-indexed left vertex shares its component.
+    """
+    n = len(edges)
+    reach = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i + 1):
+            shared = 0
+            for x, y in zip(edges[i], edges[k]):
+                shared |= x & y
+            reach[i][k] = reach[k][i] = shared
+    for m in range(n):
+        via_m = reach[m]
+        for row in reach:
+            via = row[m]
+            if via:
+                for k in range(n):
+                    row[k] |= via & via_m[k]
+    reps = []
+    for i, row in enumerate(reach):
+        lower = 0
+        for k in range(i):
+            lower |= row[k]
+        reps.append(row[i] & ~lower)
+    return reps
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,7 @@ class FiberGraph:
 
     Vertex indices are 1-based. v_i is present when z - a_i lies in B,
     w_j when z - b_j lies in A, and the edge (i, j) when z - a_i - b_j
-    lies in the semigroup. Isolated vertices count as components.
+    lies in the semigroup. Every present vertex carries an edge.
     """
 
     z: int
@@ -80,22 +89,11 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     s = a.semigroup
     lefts = tuple(i for i, g in enumerate(a.min_gens, 1) if (z - g) in b.set)
     rights = tuple(j for j, g in enumerate(b.min_gens, 1) if (z - g) in a.set)
-    edges = frozenset(
-        (i, j)
-        for i, ga in enumerate(a.min_gens, 1)
-        for j, gb in enumerate(b.min_gens, 1)
-        if s.contains(z - ga - gb)
-    )
-    uf = UnionFind()
-    for i in lefts:
-        uf.add(("v", i))
-    for j in rights:
-        uf.add(("w", j))
-    for i, j in edges:
-        uf.add(("v", i))
-        uf.add(("w", j))
-        uf.union(("v", i), ("w", j))
-    return FiberGraph(z, lefts, rights, edges, uf.count)
+    grid = [[int(s.contains(z - ga - gb)) for gb in b.min_gens]
+            for ga in a.min_gens]
+    edges = frozenset((i, j) for i, row in enumerate(grid, 1)
+                      for j, e in enumerate(row, 1) if e)
+    return FiberGraph(z, lefts, rights, edges, sum(_component_reps(grid)))
 
 
 def tau_at(a: RelativeIdeal, b: RelativeIdeal, z: int) -> int:
@@ -137,42 +135,39 @@ def torsion_profile(a: RelativeIdeal, b: RelativeIdeal) -> TorsionProfile:
 
 
 def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, z: int) -> int:
-    """Number of tensor classes over z, by closing the fiber directly.
+    """Number of tensor classes over z, by flood-filling the fiber directly.
 
-    Nodes are the x with x in A and z - x in B; x and x' < x fall in
-    the same class exactly when x - x' is a semigroup member. Pairs at
-    distance past the Frobenius number are always joined, so only
-    member-differences up to F are probed individually and the far
-    pairs are merged through a running prefix.
+    Nodes are the x with x in A and z - x in B, as bits over
+    [min A, z - min B]; x and x' fall in the same class exactly when
+    |x - x'| is a semigroup member. A class grows by shifting its newest
+    nodes by each member up to F, and by the prefix and suffix masks of
+    the nodes more than F away, which are always joined.
     """
     _check_same(a, b)
     s = a.semigroup
-    nodes = [x for x in a.set.members_upto(z - b.set.min_element)
-             if (z - x) in b.set]
-    if not nodes:
-        return 0
     f = s.frobenius
-    small = [m for m in range(1, f + 1) if s.contains(m)]
-    index = {x: i for i, x in enumerate(nodes)}
-    uf = UnionFind()
-    for i in range(len(nodes)):
-        uf.add(i)
-    far = 0  # nodes[0..prefix] are known to share a component
-    prefix = 0
-    for j, x in enumerate(nodes):
-        for m in small:
-            i = index.get(x - m)
-            if i is not None:
-                uf.union(i, j)
-        while far < j and nodes[far + 1] <= x - f - 1:
-            far += 1
-        if nodes[far] <= x - f - 1:
-            # every node up to `far` joins j directly; chain them once
-            for t in range(prefix, far):
-                uf.union(t, t + 1)
-            prefix = max(prefix, far)
-            uf.union(far, j)
-    return uf.count
+    lo, hi = a.set.lo, z - b.set.lo
+    width = hi - lo + 1
+    if width <= 0:
+        return 0
+    nodes = a.set.window(lo, hi + 1) & reverse_bits(
+        b.set.window(z - hi, z - lo + 1), width)
+    small = bit_positions(s.bits & ~1)
+    count = 0
+    while nodes:
+        cls = new = nodes & -nodes
+        while new:
+            grown = -1 << ((new & -new).bit_length() + f)
+            top = new.bit_length() - f - 1
+            if top > 0:
+                grown |= (1 << top) - 1
+            for m in small:
+                grown |= (new << m) | (new >> m)
+            new = grown & nodes & ~cls
+            cls |= new
+        nodes &= ~cls
+        count += 1
+    return count
 
 
 def splits_torsion_free(a: RelativeIdeal, b: RelativeIdeal,

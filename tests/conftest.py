@@ -37,6 +37,29 @@ def naive_dual_members(semi_gens: list[int], ideal_gens: list[int],
     }
 
 
+def naive_fiber_classes(semi_gens: list[int], gens_a: list[int],
+                        gens_b: list[int], z: int) -> int:
+    """Tensor classes over z, by breadth-first search over a Python set.
+
+    The nodes are the x in A with z - x in B; x and x' are linked when
+    |x - x'| is a non-negative combination of the semigroup generators.
+    """
+    in_a = naive_ideal_members(semi_gens, gens_a, z - min(gens_b))
+    in_b = naive_ideal_members(semi_gens, gens_b, z - min(gens_a))
+    unseen = {x for x in in_a if z - x in in_b}
+    members = knapsack_members(semi_gens, z - min(gens_a) - min(gens_b))
+    classes = 0
+    while unseen:
+        classes += 1
+        frontier = [unseen.pop()]
+        while frontier:
+            x = frontier.pop()
+            linked = {y for y in unseen if abs(x - y) in members}
+            unseen -= linked
+            frontier.extend(linked)
+    return classes
+
+
 @pytest.fixture
 def oracles():
     return knapsack_members, naive_ideal_members, naive_dual_members

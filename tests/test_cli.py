@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import semitorsion
 from semitorsion.cli import main
 
 
@@ -9,6 +13,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestImports:
+    def test_cli_leaves_numpy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(semitorsion.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import semitorsion.cli; print('numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestInfo:

@@ -3,9 +3,10 @@ generators that the canonical search enumeration never produces."""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_fiber_classes
 from semitorsion import (boundary_cycle, check_half_mu_bound, dual_formula,
                          dual_symmetric, fiber_class_count, fiber_graph,
                          ideal_dual, ideal_shift, make_hypersurface,
@@ -30,11 +31,11 @@ def hypersurface_ideal(draw):
 
 
 @st.composite
-def general_ideal_pair(draw):
+def general_ideal_pair(draw, max_gens=3):
     gens = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
     s = make_semigroup(gens + [max(gens) + 1])
-    ga = draw(st.lists(st.integers(-6, 12), min_size=1, max_size=3))
-    gb = draw(st.lists(st.integers(-6, 12), min_size=1, max_size=3))
+    ga = draw(st.lists(st.integers(-6, 12), min_size=1, max_size=max_gens))
+    gb = draw(st.lists(st.integers(-6, 12), min_size=1, max_size=max_gens))
     return make_ideal(s, ga), make_ideal(s, gb)
 
 
@@ -94,6 +95,22 @@ def test_graph_matches_fiber_closure(pair):
     lo, hi = scan_window(a, b)
     for z in range(lo, hi + 1):
         assert fiber_graph(a, b, z).component_count == fiber_class_count(a, b, z)
+
+
+@given(general_ideal_pair(max_gens=5))
+# over z = 5, left vertices 1 and 2 meet only through vertex 3
+@example((make_ideal(make_semigroup([3, 4]), [-1, 0, 1]),
+          make_ideal(make_semigroup([3, 4]), [0, 1])))
+@settings(max_examples=100, deadline=None)
+def test_fiber_routes_match_brute_force(pair):
+    a, b = pair
+    semi_gens = list(a.semigroup.generators)
+    lo, hi = scan_window(a, b)
+    for z in range(lo - 1, hi + 2):
+        expected = naive_fiber_classes(semi_gens, list(a.min_gens),
+                                       list(b.min_gens), z)
+        assert fiber_class_count(a, b, z) == expected, z
+        assert fiber_graph(a, b, z).component_count == expected, z
 
 
 @given(general_ideal_pair())

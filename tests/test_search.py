@@ -49,12 +49,15 @@ class TestTauEngine:
     def test_batch_grouping(self):
         s = make_semigroup([5, 7])
         engine = TauEngine(s)
-        group = [(0, 1), (0, 2), (0, 11)]
-        taus, supports = engine.tau_support_batch((0, 1, 3), group)
-        for gb, t, c in zip(group, taus, supports):
-            profile = torsion_profile(make_ideal(s, (0, 1, 3)),
-                                      make_ideal(s, gb))
-            assert (int(t), int(c)) == (profile.total, profile.support_size)
+        # the second batch has different first generators and spreads,
+        # so each lane's fibers sit at their own offset in the window
+        for group in ([(0, 1), (0, 2), (0, 11)], [(-2, 1), (0, 3), (5, 6)]):
+            taus, supports = engine.tau_support_batch((0, 1, 3), group)
+            for gb, t, c in zip(group, taus, supports):
+                profile = torsion_profile(make_ideal(s, (0, 1, 3)),
+                                          make_ideal(s, gb))
+                assert (int(t), int(c)) == (profile.total,
+                                            profile.support_size), gb
 
     @pytest.mark.parametrize("a,b,mu_a,mu_b", [
         (9, 10, 9, 8), (9, 10, 9, 9), (11, 12, 10, 11), (11, 13, 11, 11)])
