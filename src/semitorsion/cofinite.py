@@ -3,7 +3,9 @@
 The head is one Python int read at an offset: bit i stands for lo + i.
 Bulk operations are word operations on aligned windows of those ints
 (shift-and-OR sums, `&`, `|`, `& ~`), after the bit-parallel semigroup
-algorithms of Fromentin and Hivert (arXiv:1305.3831).
+algorithms of Fromentin and Hivert (arXiv:1305.3831). A numerical
+semigroup is one of these sets (`semigroup.NumericalSemigroup`), so
+ideals and the semigroup share one membership representation.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class CofiniteSet:
     Construction normalizes: bits at or above the threshold are dropped,
     the threshold is pulled down while threshold - 1 is a member, and
     the offset moves up to the least member, so equal sets always have
-    equal (threshold, lo, bits) triples.
+    equal (threshold, lo, bits) triples, and equality and hashing read
+    only that triple (also for subclasses such as the semigroup).
     """
 
     __slots__ = ("threshold", "lo", "bits")
@@ -75,13 +78,20 @@ class CofiniteSet:
 
     def window(self, lo: int, hi: int) -> int:
         """Membership bits of [lo, hi): bit i is set iff lo + i is a member."""
-        if hi <= lo:
+        width = hi - lo
+        if width <= 0:
             return 0
+        # a head starting past the window's top adds nothing: skip a
+        # shift that would allocate d bits
         d = self.lo - lo
-        head = self.bits << d if d >= 0 else self.bits >> -d
-        start = max(self.threshold - lo, 0)
-        tail = ((1 << (hi - lo - start)) - 1) << start if hi > self.threshold else 0
-        return (head | tail) & ((1 << (hi - lo)) - 1)
+        if d >= width:
+            bits = 0
+        else:
+            bits = self.bits << d if d >= 0 else self.bits >> -d
+        t = self.threshold - lo
+        if t < width:
+            bits |= -1 << t if t > 0 else -1
+        return bits & ((1 << width) - 1)
 
     def contains(self, z: int) -> bool:
         if z >= self.threshold:
@@ -90,10 +100,6 @@ class CofiniteSet:
         return d >= 0 and (self.bits >> d) & 1 == 1
 
     __contains__ = contains
-
-    @property
-    def min_element(self) -> int:
-        return self.lo
 
     def members_upto(self, bound: int) -> list[int]:
         """All members z <= bound, ascending."""

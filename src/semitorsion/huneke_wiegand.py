@@ -41,7 +41,7 @@ def _progressions(s: NumericalSemigroup, n: int, terms: int) -> CofiniteSet:
     if n <= 0:
         raise ValueError(f"step must be positive, got {n}")
     t = s.frobenius + 1
-    m = s.mask(t + (terms - 1) * n)
+    m = s.window(0, t + (terms - 1) * n)
     bits = m
     for k in range(1, terms):
         bits &= m >> (k * n)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .cofinite import CofiniteSet, reverse_bits
-from .ideals import (RelativeIdeal, apery_set, ideal_sum, make_ideal,
-                     minimal_generators_of_set)
+from .ideals import (RelativeIdeal, _from_set, apery_set, ideal_sum,
+                     make_ideal)
 from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import torsion_profile
 
@@ -187,7 +187,7 @@ def dual_symmetric(s_or_h: HypersurfaceSemigroup | NumericalSemigroup,
     width = own.threshold - own.lo
     bits = reverse_bits(own.bits ^ ((1 << width) - 1), width)
     cset = CofiniteSet.from_bits(f + 1 - own.lo, f + 1 - own.threshold, bits)
-    return RelativeIdeal(s, minimal_generators_of_set(s, cset), cset)
+    return _from_set(s, cset)
 
 
 @dataclass(frozen=True)

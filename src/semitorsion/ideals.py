@@ -2,8 +2,9 @@
 
 A relative ideal is a union of translates g + S; it is stored as its
 unique minimal generating set together with the cofinite set it equals.
-Sums, intersections, duals and shifts all return relative ideals with
-minimal generators recomputed.
+An ideal and its dual are built from one membership window of S
+(itself a `CofiniteSet`), and the minimal generators of every result
+are read off its set by `minimal_generators_of_set`; shifts move both.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .cofinite import CofiniteSet, bit_positions
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, minimal_generators_of_set
 
 __all__ = [
     "RelativeIdeal",
@@ -58,10 +59,6 @@ class RelativeIdeal:
     def is_principal(self) -> bool:
         return len(self.min_gens) == 1
 
-    @property
-    def min_element(self) -> int:
-        return self.min_gens[0]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RelativeIdeal)
@@ -77,49 +74,24 @@ class RelativeIdeal:
         return f"({gens}) over {self.semigroup!r}"
 
 
-def _reduce_generators(s: NumericalSemigroup, gens: Iterable[int]) -> tuple[int, ...]:
-    uniq = sorted(set(int(g) for g in gens))
-    return tuple(
-        g for g in uniq
-        if not any(h != g and s.contains(g - h) for h in uniq)
-    )
-
-
-def _build_set(s: NumericalSemigroup, gens: tuple[int, ...]) -> CofiniteSet:
-    # Everything at or above max(gens) + F + 1 lies in max(gens) + S;
-    # below it the set is the OR of the translates g + S.
-    g0 = gens[0]
-    t = gens[-1] + s.frobenius + 1
-    bits = 0
-    for g in gens:
-        bits |= s.mask(t - g) << (g - g0)
-    return CofiniteSet.from_bits(t, g0, bits)
-
-
 def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdeal:
-    """The relative ideal generated by `generators` over `s`."""
-    gens = list(generators)
+    """The relative ideal generated by `generators` over `s`.
+
+    A generator past min + F lies in min + S and adds nothing. Below
+    max + F + 1 (past it everything lies in max + S) the set is the OR
+    of the translates g + S; its minimal generators are read off it.
+    """
+    gens = sorted(set(int(g) for g in generators))
     if not gens:
         raise ValueError("generator list must be non-empty")
-    minimal = _reduce_generators(s, gens)
-    return RelativeIdeal(s, minimal, _build_set(s, minimal))
-
-
-def minimal_generators_of_set(s: NumericalSemigroup,
-                              cset: CofiniteSet) -> tuple[int, ...]:
-    """Minimal generators of a cofinite set that is closed under adding s.
-
-    An element is a generator iff subtracting any semigroup generator
-    leaves the set; candidates at or above threshold + multiplicity are
-    never generators since subtracting the multiplicity stays in the
-    tail. Over that window the generators are own & ~OR(own << n).
-    """
-    lo = cset.lo
-    own = cset.window(lo, cset.threshold + s.multiplicity)
-    reached = 0
-    for n in s.generators:
-        reached |= own << n
-    return tuple(bit_positions(own & ~reached, lo))
+    g0 = gens[0]
+    gens = [g for g in gens if g <= g0 + max(s.frobenius, 0)]
+    t = gens[-1] + s.frobenius + 1
+    member = s.window(0, t - g0)
+    bits = 0
+    for g in gens:
+        bits |= member << (g - g0)
+    return _from_set(s, CofiniteSet.from_bits(t, g0, bits))
 
 
 def _from_set(s: NumericalSemigroup, cset: CofiniteSet) -> RelativeIdeal:
@@ -157,9 +129,10 @@ def ideal_dual(a: RelativeIdeal) -> RelativeIdeal:
     s = a.semigroup
     g0 = a.min_gens[0]
     width = s.frobenius + 1
+    member = s.window(0, width + a.min_gens[-1] - g0)
     bits = (1 << width) - 1
     for g in a.min_gens:
-        bits &= s.mask(width + g - g0) >> (g - g0)
+        bits &= member >> (g - g0)
     return _from_set(s, CofiniteSet.from_bits(width - g0, -g0, bits))
 
 
@@ -174,18 +147,11 @@ def apery_set(a: Union[RelativeIdeal, NumericalSemigroup], n: int) -> set[int]:
 
     Has exactly n elements: membership along each residue class mod n is
     upward closed, so the set collects the least member of every class.
+    Every x >= threshold + n has x - n in the tail, so over the window
+    [lo, threshold + n) the set is own & ~(own << n).
     """
-    s = a.semigroup if isinstance(a, RelativeIdeal) else a
-    if n <= 0 or not s.contains(n):
+    s, own = (a.semigroup, a.set) if isinstance(a, RelativeIdeal) else (a, a)
+    if n <= 0 or n not in s:
         raise ValueError(f"{n} is not a positive member of {s!r}")
-    if isinstance(a, RelativeIdeal):
-        start, member = a.set.min_element, a.set.contains
-    else:
-        start, member = 0, s.contains
-    found: dict[int, int] = {}
-    z = start
-    while len(found) < n:
-        if member(z) and (z % n) not in found:
-            found[z % n] = z
-        z += 1
-    return set(found.values())
+    bits = own.window(own.lo, own.threshold + n)
+    return set(bit_positions(bits & ~(bits << n), own.lo))

@@ -101,7 +101,7 @@ class TauEngine:
             return [0] * len(gbs), [0] * len(gbs)
         stride = width + ga[-1] - ga[0]
         lane = (1 << width) - 1
-        member = self.s.mask(width)
+        member = self.s.window(0, width)
         rows = [0] * len(gbs[0])
         for k, gb in enumerate(gbs):
             for j, g in enumerate(gb):
@@ -197,18 +197,19 @@ def _half_mu_records(a: int, b: int, window: int,
     by_mu: dict[int, list[tuple[int, ...]]] = {}
     for g in ideals:
         by_mu.setdefault(len(g), []).append(g)
+    keys = {mb: [_gens_key(g) for g in group] for mb, group in by_mu.items()}
     for ga in ideals:
+        key_a = _gens_key(ga)
         for mb, group in sorted(by_mu.items()):
+            mm = len(ga) * mb
             taus, supports = engine.tau_support_batch(ga, group)
-            for gb, tau, support in zip(group, taus, supports):
-                mm = len(ga) * mb
+            for key_b, tau, support in zip(keys[mb], taus, supports):
                 yield {
                     "a": a, "b": b,
-                    "gens_A": _gens_key(ga), "gens_B": _gens_key(gb),
-                    "tau": int(tau), "support": int(support),
+                    "gens_A": key_a, "gens_B": key_b,
+                    "tau": tau, "support": support,
                     "mu_A": len(ga), "mu_B": mb,
-                    "bound_ok": bool(int(tau) + int(support) >= mm
-                                     and 2 * int(tau) >= mm),
+                    "bound_ok": tau + support >= mm and 2 * tau >= mm,
                 }
 
 

@@ -1,4 +1,10 @@
-"""Numerical semigroups: construction, membership, gaps, Apery sets, symmetry."""
+"""Numerical semigroups: construction, gaps, symmetry, minimal generators.
+
+A numerical semigroup is a cofinite set, so `NumericalSemigroup` is a
+`CofiniteSet` and takes its membership, windows and equality from it.
+Minimal generators, of the semigroup and of its relative ideals, come
+from one bit scan, `minimal_generators_of_set`.
+"""
 
 from __future__ import annotations
 
@@ -6,26 +12,25 @@ import math
 from functools import lru_cache
 from typing import Iterable
 
-from .cofinite import bit_flags, reverse_bits
+from .cofinite import CofiniteSet, bit_positions, reverse_bits
 
 
-class NumericalSemigroup:
+class NumericalSemigroup(CofiniteSet):
     """A submonoid of the non-negative integers with finite complement.
 
-    Stores the minimal generating set, the Frobenius number (largest
-    integer not in the semigroup, -1 for the full monoid), a byte table
-    over [0, frobenius] so that scalar `contains` is O(1), and the same
-    membership as the int `bits` (bit z set iff z is a member) for the
-    word-parallel scans. Instances are immutable and hashable.
+    As a set its threshold is frobenius + 1, lo is 0 and bit z of
+    `bits` says whether z in [0, frobenius] is a member. It adds the
+    minimal generating set, the Frobenius number (largest integer not
+    in the semigroup, -1 for the full monoid) and the multiplicity.
+    Equal members mean equal minimal generators, so the inherited
+    equality and hash serve. Instances are immutable.
     """
 
-    __slots__ = ("generators", "frobenius", "multiplicity", "bits",
-                 "_table", "_hash")
+    __slots__ = ("generators", "frobenius", "multiplicity")
 
     generators: tuple[int, ...]
     frobenius: int
     multiplicity: int
-    bits: int
 
     def __init__(self, generators: Iterable[int]):
         gens = sorted(set(int(g) for g in generators))
@@ -40,43 +45,22 @@ class NumericalSemigroup:
             )
 
         bits = _membership_bits(gens)
-        table = bit_flags(bits)
-        frob = (~bits & ((1 << len(table)) - 1)).bit_length() - 1
-
-        minimal = tuple(
-            g for g in gens
-            if not any(table[m] and table[g - m] for m in range(1, g))
-        )
-        self.generators = minimal
+        frob = (~bits & ((1 << bits.bit_length()) - 1)).bit_length() - 1
+        self._normalize(frob + 1, 0, bits)
         self.frobenius = frob
-        self.multiplicity = minimal[0]
-        # Queries above the Frobenius number never touch the table.
-        self._table = table[: max(frob + 1, 1)]
-        self.bits = bits & ((1 << (frob + 1)) - 1)
-        self._hash = hash(minimal)
-
-    def contains(self, z: int) -> bool:
-        if z < 0:
-            return False
-        if z > self.frobenius:
-            return True
-        return bool(self._table[z])
-
-    __contains__ = contains
-
-    def mask(self, hi: int) -> int:
-        """Membership bits of [0, hi), the tail past frobenius filled in."""
-        top = self.frobenius + 1
-        if hi <= top:
-            return self.bits & ((1 << max(hi, 0)) - 1)
-        return self.bits | (((1 << (hi - top)) - 1) << top)
+        # Every input generator spans S, so the minimal ones are the
+        # members of S \ {0} that no input generator reaches inside it.
+        self.generators = tuple(gens)
+        self.multiplicity = gens[0]
+        self.generators = minimal_generators_of_set(
+            self, CofiniteSet.from_bits(max(frob + 1, 1), 1, self.bits >> 1))
 
     def gaps(self) -> list[int]:
         """The non-members in [0, frobenius], ascending."""
-        return [z for z in range(self.frobenius + 1) if not self._table[z]]
+        return bit_positions(self.bits ^ ((1 << self.threshold) - 1))
 
     def genus(self) -> int:
-        return (self.frobenius + 1) - sum(self._table[: self.frobenius + 1])
+        return self.threshold - self.bits.bit_count()
 
     def is_symmetric(self) -> bool:
         """True iff z is a member exactly when frobenius - z is not.
@@ -85,24 +69,29 @@ class NumericalSemigroup:
         side is forced negative and the other forced above F. There the
         condition says the reversed membership bits are their complement.
         """
-        width = self.frobenius + 1
+        width = self.threshold
         return reverse_bits(self.bits, width) == self.bits ^ ((1 << width) - 1)
-
-    def members_upto(self, bound: int) -> list[int]:
-        """All members in [0, bound]."""
-        return [z for z in range(bound + 1) if self.contains(z)]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NumericalSemigroup)
-            and self.generators == other.generators
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({list(self.generators)})"
+
+
+def minimal_generators_of_set(s: NumericalSemigroup,
+                              cset: CofiniteSet) -> tuple[int, ...]:
+    """Minimal generators of a cofinite set that is closed under adding s.
+
+    An element is a generator iff subtracting any generator of s (any
+    generating set serves, minimal or not) leaves the set; candidates at
+    or above threshold + multiplicity are never generators since
+    subtracting the multiplicity stays in the tail. Over that window the
+    generators are own & ~OR(own << n).
+    """
+    lo = cset.lo
+    own = cset.window(lo, cset.threshold + s.multiplicity)
+    reached = 0
+    for n in s.generators:
+        reached |= own << n
+    return tuple(bit_positions(own & ~reached, lo))
 
 
 def _membership_bits(gens: list[int]) -> int:

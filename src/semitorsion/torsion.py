@@ -86,13 +86,18 @@ class FiberGraph:
 
 def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     _check_same(a, b)
-    s = a.semigroup
-    lefts = tuple(i for i, g in enumerate(a.min_gens, 1) if (z - g) in b.set)
-    rights = tuple(j for j, g in enumerate(b.min_gens, 1) if (z - g) in a.set)
-    grid = [[int(s.contains(z - ga - gb)) for gb in b.min_gens]
-            for ga in a.min_gens]
+    ga, gb = a.min_gens, b.min_gens
+    # bit k of `member` says lo + k is in S; every z - a_i - b_j lies in
+    # [lo, z - a_1 - b_1]
+    lo = z - ga[-1] - gb[-1]
+    member = a.semigroup.window(lo, z - ga[0] - gb[0] + 1)
+    grid = [[(member >> (z - x - y - lo)) & 1 for y in gb] for x in ga]
     edges = frozenset((i, j) for i, row in enumerate(grid, 1)
                       for j, e in enumerate(row, 1) if e)
+    # B is the union of the b_j + S, so z - a_i is in B exactly when row
+    # i has an edge; symmetrically for the columns.
+    lefts = tuple(sorted({i for i, _ in edges}))
+    rights = tuple(sorted({j for _, j in edges}))
     return FiberGraph(z, lefts, rights, edges, sum(_component_reps(grid)))
 
 

@@ -43,16 +43,23 @@ class TestNormalization:
         assert c == CofiniteSet(t, members)
         assert c.below == tuple(x for x in sorted(members) if x < c.threshold)
 
+    @given(cofinite_sets, st.integers(-60, 60), st.integers(-5, 40))
+    @settings(max_examples=150)
+    def test_window_vs_brute(self, x, lo, width):
+        bits = x.window(lo, lo + width)
+        assert bits.bit_length() <= max(width, 0)
+        assert all(((bits >> i) & 1) == (lo + i in x) for i in range(width))
+
     def test_min_element(self):
-        assert CofiniteSet(5, [-3, 2]).min_element == -3
-        assert CofiniteSet(5).min_element == 5
+        assert CofiniteSet(5, [-3, 2]).lo == -3
+        assert CofiniteSet(5).lo == 5
 
 
 class TestOperations:
     @given(cofinite_sets, cofinite_sets)
     @settings(max_examples=60)
     def test_intersect_union_vs_brute(self, x, y):
-        lo = min(x.min_element, y.min_element) - 2
+        lo = min(x.lo, y.lo) - 2
         hi = max(x.threshold, y.threshold) + 5
         assert brute_members(x.intersect(y), lo, hi) == (
             brute_members(x, lo, hi) & brute_members(y, lo, hi))
@@ -62,17 +69,17 @@ class TestOperations:
     @given(cofinite_sets, st.integers(-9, 9))
     def test_shift(self, x, c):
         assert x.shift(c).shift(-c) == x
-        assert (x.min_element + c) == x.shift(c).min_element
+        assert (x.lo + c) == x.shift(c).lo
 
     @given(cofinite_sets, cofinite_sets)
     @settings(max_examples=60)
     def test_sumset_vs_brute(self, x, y):
         got = x.sumset(y)
         hi = got.threshold + 8
-        xs = brute_members(x, x.min_element, hi - y.min_element)
-        ys = brute_members(y, y.min_element, hi - x.min_element)
+        xs = brute_members(x, x.lo, hi - y.lo)
+        ys = brute_members(y, y.lo, hi - x.lo)
         expected = {u + v for u in xs for v in ys if u + v <= hi}
-        assert brute_members(got, got.min_element, hi) == expected
+        assert brute_members(got, got.lo, hi) == expected
 
     def test_sumset_convolution_path(self):
         # a head of over 64 members, so the shifted heads span many words

@@ -72,8 +72,8 @@ class TestIrreducibleTriples:
             s = make_semigroup(gens)
             report = irreducible_triples(s, n)
             if report.irreducible:
-                top = report.pairs.min_element + s.frobenius + 1
-                assert report.irreducible[0] >= report.triples.min_element
+                top = report.pairs.lo + s.frobenius + 1
+                assert report.irreducible[0] >= report.triples.lo
                 assert report.irreducible[-1] < top
 
 

@@ -152,7 +152,7 @@ class TestDualFormula:
 
     def test_against_oracle_scan(self, h57, triple):
         dual = dual_formula(h57, triple)
-        lo, hi = dual.set.min_element, dual.set.threshold + 5
+        lo, hi = dual.set.lo, dual.set.threshold + 5
         expected = naive_dual_members([5, 7], [17, 21, 25], lo, hi)
         assert set(dual.set.members_upto(hi)) == expected
 

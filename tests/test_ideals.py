@@ -6,7 +6,7 @@ from semitorsion import (CofiniteSet, SemigroupMismatchError, ideal_dual,
                          ideal_intersect, ideal_shift, ideal_sum, make_ideal,
                          make_semigroup, minimal_generators_of_set)
 
-from conftest import naive_dual_members, naive_ideal_members
+from conftest import knapsack_members, naive_dual_members, naive_ideal_members
 
 semigroup_gens = st.lists(st.integers(2, 11), min_size=1, max_size=3).map(
     lambda gs: gs + [max(gs) + 1]  # consecutive pair forces gcd 1
@@ -45,7 +45,7 @@ class TestMakeIdeal:
     def test_mu_and_min_element(self):
         s = make_semigroup([4, 5, 6])
         a = make_ideal(s, [4, 5])
-        assert a.mu == 2 and a.min_element == 4 and not a.is_principal
+        assert a.mu == 2 and a.min_gens[0] == 4 and not a.is_principal
         assert make_ideal(s, [17, 21, 25]).semigroup is s
 
     def test_empty_rejected(self):
@@ -58,6 +58,24 @@ class TestMakeIdeal:
         s, a = si
         again = make_ideal(s, a.min_gens)
         assert again.min_gens == a.min_gens and again.set == a.set
+
+    @given(semigroup_gens, ideal_gens)
+    @settings(max_examples=80)
+    def test_vs_brute_force(self, semi_gens, gens):
+        a = make_ideal(make_semigroup(semi_gens), gens)
+        # F < 12 * 12, so this covers every difference of two generators
+        members = knapsack_members(semi_gens, 12 * 12 + 22)
+        assert a.min_gens == tuple(sorted(
+            g for g in set(gens)
+            if not any(h != g and g - h in members for h in gens)))
+        bound = a.set.threshold + 5
+        assert set(a.set.members_upto(bound)) == naive_ideal_members(
+            semi_gens, gens, bound)
+
+    def test_far_generator_dropped(self):
+        s = make_semigroup([5, 7])
+        assert make_ideal(s, [3, 3 + 24, 3 + 10**9]).min_gens == (3,)
+        assert make_ideal(s, [3, 3 + 23]).min_gens == (3, 26)
 
     @given(semigroup_and_ideal())
     @settings(max_examples=80)
@@ -100,9 +118,9 @@ class TestSum:
         expected = {
             x + y
             for x in naive_ideal_members(list(s.generators), list(a.min_gens),
-                                         bound - b.min_element)
+                                         bound - b.min_gens[0])
             for y in naive_ideal_members(list(s.generators), list(b.min_gens),
-                                         bound - a.min_element)
+                                         bound - a.min_gens[0])
             if x + y <= bound
         }
         assert set(total.set.members_upto(bound)) == expected
@@ -156,14 +174,14 @@ class TestDual:
 
     def test_min_element(self):
         s = make_semigroup([5, 7])
-        assert ideal_dual(make_ideal(s, [0, 1])).min_element == 14
+        assert ideal_dual(make_ideal(s, [0, 1])).min_gens[0] == 14
 
     @given(semigroup_and_ideal())
     @settings(max_examples=60)
     def test_vs_oracle(self, si):
         s, a = si
         dual = ideal_dual(a)
-        lo = dual.set.min_element - 3
+        lo = dual.set.lo - 3
         hi = dual.set.threshold + 5
         expected = naive_dual_members(list(s.generators), list(a.min_gens), lo, hi)
         assert set(dual.set.members_upto(hi)) - set(range(lo)) == expected

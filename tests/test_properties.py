@@ -97,6 +97,22 @@ def test_graph_matches_fiber_closure(pair):
         assert fiber_graph(a, b, z).component_count == fiber_class_count(a, b, z)
 
 
+@given(general_ideal_pair())
+@settings(max_examples=80, deadline=None)
+def test_fiber_vertices_match_definition(pair):
+    a, b = pair
+    lo, hi = scan_window(a, b)
+    for z in range(lo - 1, hi + 2):
+        g = fiber_graph(a, b, z)
+        assert g.left_vertices == tuple(
+            i for i, x in enumerate(a.min_gens, 1) if (z - x) in b.set), z
+        assert g.right_vertices == tuple(
+            j for j, y in enumerate(b.min_gens, 1) if (z - y) in a.set), z
+        assert g.edges == {
+            (i, j) for i, x in enumerate(a.min_gens, 1)
+            for j, y in enumerate(b.min_gens, 1) if (z - x - y) in a.semigroup}
+
+
 @given(general_ideal_pair(max_gens=5))
 # over z = 5, left vertices 1 and 2 meet only through vertex 3
 @example((make_ideal(make_semigroup([3, 4]), [-1, 0, 1]),

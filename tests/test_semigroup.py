@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitorsion import apery_set, make_ideal, make_semigroup
+from semitorsion import CofiniteSet, apery_set, make_ideal, make_semigroup
 
-from conftest import knapsack_members
+from conftest import knapsack_members, naive_ideal_members
 
 small_semigroups = st.lists(st.integers(2, 20), min_size=2, max_size=3).filter(
     lambda g: math.gcd(*g) == 1).map(make_semigroup)
@@ -52,6 +52,33 @@ class TestMakeSemigroup:
 
     def test_shared_instances(self):
         assert make_semigroup([5, 7]) is make_semigroup([7, 5])
+
+    def test_is_a_cofinite_set(self):
+        s = make_semigroup([5, 7])
+        assert isinstance(s, CofiniteSet)
+        assert (s.threshold, s.lo) == (24, 0)
+        assert s == CofiniteSet(24, knapsack_members([5, 7], 23))
+        assert s != make_semigroup([5, 8])
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=6).filter(
+        lambda g: math.gcd(*g) == 1))
+    @settings(max_examples=150, deadline=None)
+    def test_redundant_unsorted_vs_knapsack(self, gens):
+        s = make_semigroup(gens)
+        # F < 30 * 30, and a minimal generator is at most F + min(gens)
+        bound = 30 * 30 + 30
+        members = knapsack_members(gens, bound)
+        gaps = [z for z in range(bound + 1) if z not in members]
+        frob = max(gaps, default=-1)
+        assert s.frobenius == frob
+        assert s.gaps() == gaps and s.genus() == len(gaps)
+        # g is a minimal generator iff it is no sum of two positive members
+        assert s.generators == tuple(sorted(
+            g for g in set(gens)
+            if not any(0 < m < g and g - m in members for m in members)))
+        assert s.multiplicity == min(members - {0})
+        assert all(s.contains(z) == (z in members) for z in range(-3, bound + 1))
+        assert s == CofiniteSet(frob + 1, members)
 
 
 class TestContains:
@@ -103,6 +130,22 @@ class TestAperySet:
         assert {x % n for x in ap} == set(range(n))
         # least member of every residue class: subtracting n exits
         assert all(not s.contains(x - n) for x in ap)
+
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=3),
+           st.lists(st.integers(-6, 12), min_size=1, max_size=4),
+           st.integers(1, 25))
+    @settings(max_examples=100, deadline=None)
+    def test_of_random_ideal_vs_definition(self, semi_gens, ideal_gens, n):
+        semi_gens = semi_gens + [max(semi_gens) + 1]
+        s = make_semigroup(semi_gens)
+        if n not in s:
+            n *= s.multiplicity
+        # every Apery element lies below max + F + 1 + n, and F < 10 * 10
+        bound = max(ideal_gens) + 10 * 10 + n
+        members = naive_ideal_members(semi_gens, ideal_gens, bound)
+        expected = {x for x in members if x - n not in members}
+        got = apery_set(make_ideal(s, ideal_gens), n)
+        assert got == expected and len(got) == n
 
     def test_rejects_non_members(self):
         s = make_semigroup([4, 5, 6])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,22 @@ class TestFiberGraph:
             touched_r = {j for _, j in g.edges}
             assert set(g.left_vertices) == touched_l
             assert set(g.right_vertices) == touched_r
+
+    def test_far_degrees_stay_small(self, example_511):
+        a, b = example_511
+        s = make_semigroup([5, 7])
+        tracemalloc.start()
+        try:
+            far_gens = make_ideal(s, [0, 10**7]).min_gens
+            low = fiber_graph(a, b, -10**7)
+            high = fiber_graph(a, b, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert far_gens == (0,)
+        assert not low.edges and low.component_count == 0
+        assert len(high.edges) == 9 and high.component_count == 1
+        assert peak < 64 * 1024, peak
 
     def test_mismatch(self):
         a = make_ideal(make_semigroup([2, 3]), [0])
