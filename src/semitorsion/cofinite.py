@@ -16,14 +16,9 @@ from typing import Iterable
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def bit_flags(bits: int) -> bytes:
-    """Byte i is bit i of `bits` (non-negative), up to its highest set bit."""
-    return bin(bits)[:1:-1].encode().translate(_DIGITS)
-
-
 def bit_positions(bits: int, offset: int = 0) -> list[int]:
     """offset + i for every set bit i of `bits` (non-negative), ascending."""
-    flags = bit_flags(bits)
+    flags = bin(bits)[:1:-1].encode().translate(_DIGITS)  # byte i: bit i
     return list(compress(range(offset, offset + len(flags)), flags))
 
 

@@ -12,7 +12,7 @@ holds over any symmetric semigroup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cofinite import CofiniteSet, reverse_bits
 from .ideals import (RelativeIdeal, _from_set, apery_set, ideal_sum,
@@ -50,6 +50,7 @@ class HypersurfaceSemigroup:
     a: int
     b: int
     base: NumericalSemigroup
+    a_inverse: int = field(compare=False, repr=False)  # a^-1 mod b
 
     @property
     def frobenius(self) -> int:
@@ -61,11 +62,11 @@ def make_hypersurface(a: int, b: int) -> HypersurfaceSemigroup:
         raise ValueError(f"need b > a > 1, got a={a}, b={b}")
     if math.gcd(a, b) != 1:
         raise ValueError(f"a={a} and b={b} are not coprime")
-    return HypersurfaceSemigroup(a, b, make_semigroup((a, b)))
+    return HypersurfaceSemigroup(a, b, make_semigroup((a, b)), pow(a, -1, b))
 
 
 def _check_over(h: HypersurfaceSemigroup, ideal: RelativeIdeal) -> None:
-    if ideal.semigroup != h.base:
+    if ideal.semigroup is not h.base and ideal.semigroup != h.base:
         raise ValueError(
             f"ideal over {ideal.semigroup!r} does not live over <{h.a},{h.b}>"
         )
@@ -74,7 +75,7 @@ def _check_over(h: HypersurfaceSemigroup, ideal: RelativeIdeal) -> None:
 def lattice_normalize(h: HypersurfaceSemigroup, g: int,
                       x_lo: int = 0) -> LatticeClass:
     """The representative (x, y) of the class of value g with x in [x_lo, x_lo+b)."""
-    r = pow(h.a, -1, h.b) * g % h.b
+    r = h.a_inverse * g % h.b
     x = x_lo + (r - x_lo) % h.b
     return LatticeClass(x, (g - h.a * x) // h.b)
 

@@ -99,7 +99,7 @@ def _from_set(s: NumericalSemigroup, cset: CofiniteSet) -> RelativeIdeal:
 
 
 def _check_same(a: RelativeIdeal, b: RelativeIdeal) -> None:
-    if a.semigroup != b.semigroup:
+    if a.semigroup is not b.semigroup and a.semigroup != b.semigroup:
         raise SemigroupMismatchError(
             f"ideals over different semigroups: "
             f"{a.semigroup!r} vs {b.semigroup!r}"

@@ -10,6 +10,10 @@ engine: the fiber edges of a whole batch of ideals, over every degree,
 are packed into one Python int per generator pair, and the component
 counter that `fiber_graph` uses runs on all of them at once. It is
 checked against the definitional graph construction in the test suite.
+The half-mu sweep runs it once per unordered pair, since tau and the
+support are symmetric. A record is a tuple: bound_ok, then the fields in
+sorted key order. One fixed-schema f-string per mode writes it as the
+line `json.dumps(record, sort_keys=True, separators=(",", ":"))` gives.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ import json
 import math
 import multiprocessing
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
+from operator import add
+from typing import Iterable, Iterator
 
-from .cofinite import bit_flags
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
@@ -119,11 +124,11 @@ class TauEngine:
         multi = 0
         for r in reps[1:]:
             extra = r & seen
-            _add_lane_counts(tau, extra, stride, width)
+            _add_lane_counts(tau, extra, stride, lane)
             multi |= extra
             seen |= r
         support = [0] * len(gbs)
-        _add_lane_counts(support, multi, stride, width)
+        _add_lane_counts(support, multi, stride, lane)
         return tau, support
 
     def tau_support(self, ga: tuple[int, ...],
@@ -133,11 +138,10 @@ class TauEngine:
 
 
 def _add_lane_counts(totals: list[int], bits: int, stride: int,
-                     width: int) -> None:
-    """Add to totals[k] the set bits of `bits` in [k*stride, k*stride + width)."""
-    flags = bit_flags(bits)
+                     lane: int) -> None:
+    """Add to totals[k] the set bits of `bits & (lane << k*stride)`."""
     for k in range(len(totals)):
-        totals[k] += flags.count(1, k * stride, k * stride + width)
+        totals[k] += ((bits >> (k * stride)) & lane).bit_count()
 
 
 @dataclass
@@ -175,45 +179,90 @@ class SearchSummary:
     def ok(self) -> bool:
         return self.violation_count == 0
 
-    def _fold_min(self, key: str, value) -> None:
-        if key not in self.stats or value < self.stats[key]:
-            self.stats[key] = value
 
-    def _fold_max(self, key: str, value) -> None:
-        if key not in self.stats or value > self.stats[key]:
-            self.stats[key] = value
+def _fold_stats(stats: dict, part: dict) -> None:
+    """Fold `part` in: min_* keys keep the least value, others the greatest."""
+    for key, value in part.items():
+        if key in stats:
+            value = (min if key.startswith("min_") else max)(stats[key], value)
+        stats[key] = value
 
 
 def _gens_key(gens: tuple[int, ...]) -> str:
     return ",".join(str(g) for g in gens)
 
 
-def _half_mu_records(a: int, b: int, window: int,
-                     mu_max: int) -> Iterator[dict]:
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _half_mu_line(bound_ok: bool, a: int, b: int, gens_a: str, gens_b: str,
+                  mu_a: int, mu_b: int, support: int, tau: int) -> str:
+    return (f'{{"a":{a},"b":{b},"bound_ok":{_flag(bound_ok)},'
+            f'"gens_A":"{gens_a}","gens_B":"{gens_b}","mu_A":{mu_a},'
+            f'"mu_B":{mu_b},"support":{support},"tau":{tau}}}\n')
+
+
+def _dual_line(bound_ok: bool, a: int, b: int, bidual_ok: bool, dual: str,
+               gens_a: str, routes_agree: bool) -> str:
+    return (f'{{"a":{a},"b":{b},"bidual_ok":{_flag(bidual_ok)},'
+            f'"bound_ok":{_flag(bound_ok)},"dual":"{dual}",'
+            f'"gens_A":"{gens_a}","routes_agree":{_flag(routes_agree)}}}\n')
+
+
+def _hw_line(bound_ok: bool, a: int, all_positive: bool, b: int,
+             gap_count: int, high: int | None, low: int | None) -> str:
+    return (f'{{"a":{a},"all_positive":{_flag(all_positive)},"b":{b},'
+            f'"bound_ok":{_flag(bound_ok)},"gap_count":{gap_count},'
+            f'"max_count":{"null" if high is None else high},'
+            f'"min_count":{"null" if low is None else low}}}\n')
+
+
+def _oracle_line(bound_ok: bool, a: int, b: int, fibers: int, gens_a: str,
+                 gens_b: str) -> str:
+    return (f'{{"a":{a},"b":{b},"bound_ok":{_flag(bound_ok)},'
+            f'"fibers":{fibers},"gens_A":"{gens_a}","gens_B":"{gens_b}"}}\n')
+
+
+def _half_mu_records(a: int, b: int, window: int, mu_max: int,
+                     stats: dict) -> Iterator[tuple]:
+    """Every ordered pair of non-principal ideals. Row i runs the engine
+    on the ideals j >= i of each mu group; rows before it filled in j < i."""
     s = make_semigroup((a, b))
     engine = TauEngine(s)
     ideals = [g for g in canonical_ideal_gens(s, window, mu_max)
               if len(g) >= 2]
-    by_mu: dict[int, list[tuple[int, ...]]] = {}
-    for g in ideals:
-        by_mu.setdefault(len(g), []).append(g)
-    keys = {mb: [_gens_key(g) for g in group] for mb, group in by_mu.items()}
-    for ga in ideals:
-        key_a = _gens_key(ga)
-        for mb, group in sorted(by_mu.items()):
-            mm = len(ga) * mb
-            taus, supports = engine.tau_support_batch(ga, group)
-            for key_b, tau, support in zip(keys[mb], taus, supports):
-                yield {
-                    "a": a, "b": b,
-                    "gens_A": key_a, "gens_B": key_b,
-                    "tau": tau, "support": support,
-                    "mu_A": len(ga), "mu_B": mb,
-                    "bound_ok": tau + support >= mm and 2 * tau >= mm,
-                }
+    keys = [_gens_key(g) for g in ideals]
+    mus = [len(g) for g in ideals]
+    groups = [(mu, [i for i, m in enumerate(mus) if m == mu])
+              for mu in sorted(set(mus))]
+    order = [j for _, group in groups for j in group]
+    table = [[(0, 0)] * len(ideals) for _ in ideals]  # (tau, support)
+    for i, ga in enumerate(ideals):
+        mu_a = mus[i]
+        for mb, group in groups:
+            later = group[bisect_left(group, i):]
+            if not later:
+                continue
+            ts, cs = engine.tau_support_batch(ga, [ideals[j] for j in later])
+            for j, t, c in zip(later, ts, cs):
+                table[i][j] = table[j][i] = (t, c)
+            mm = mu_a * mb
+            _fold_stats(stats, {
+                "min_two_tau_minus_mu_mu": 2 * min(ts) - mm,
+                "min_tau_plus_support_minus_mu_mu":
+                    min(map(add, ts, cs)) - mm,
+                "max_tau": max(ts),
+            })
+        key_a, row = keys[i], table[i]
+        for j in order:
+            (tau, support), mm = row[j], mu_a * mus[j]
+            yield (tau + support >= mm and 2 * tau >= mm, a, b, key_a,
+                   keys[j], mu_a, mus[j], support, tau)
 
 
-def _dual_records(a: int, b: int, window: int, mu_max: int) -> Iterator[dict]:
+def _dual_records(a: int, b: int, window: int, mu_max: int,
+                  stats: dict) -> Iterator[tuple]:
     h = make_hypersurface(a, b)
     s = h.base
     for gens in canonical_ideal_gens(s, window, mu_max):
@@ -223,60 +272,22 @@ def _dual_records(a: int, b: int, window: int, mu_max: int) -> Iterator[dict]:
         via_reflection = dual_symmetric(h, ideal)
         routes_agree = (via_formula == via_scan == via_reflection)
         bidual_ok = dual_formula(h, via_formula) == ideal
-        yield {
-            "a": a, "b": b,
-            "gens_A": _gens_key(gens),
-            "dual": _gens_key(via_formula.min_gens),
-            "routes_agree": routes_agree,
-            "bidual_ok": bidual_ok,
-            "bound_ok": routes_agree and bidual_ok,
-        }
+        yield (routes_agree and bidual_ok, a, b, bidual_ok,
+               _gens_key(via_formula.min_gens), _gens_key(gens), routes_agree)
 
 
-def _hw_records(a: int, b: int, window: int, mu_max: int) -> Iterator[dict]:
+def _hw_records(a: int, b: int, window: int, mu_max: int,
+                stats: dict) -> Iterator[tuple]:
     report = hw_check_semigroup(make_semigroup((a, b)))
     counts = list(report.per_gap.values())
-    yield {
-        "a": a, "b": b,
-        "gap_count": len(counts),
-        "min_count": min(counts) if counts else None,
-        "max_count": max(counts) if counts else None,
-        "all_positive": report.all_positive,
-        "bound_ok": report.all_positive,
-    }
+    low, high = (min(counts), max(counts)) if counts else (None, None)
+    if counts:
+        _fold_stats(stats, {"min_count": low, "max_count": high})
+    yield (report.all_positive, a, report.all_positive, b, len(counts),
+           high, low)
 
 
-_MODE_RUNNERS = {
-    "half-mu-bound": _half_mu_records,
-    "dual-consistency": _dual_records,
-    "hw": _hw_records,
-}
-
-
-def _fold_record(summary: SearchSummary, record: dict) -> None:
-    summary.records += 1
-    if not record["bound_ok"]:
-        summary.violation_count += 1
-        if len(summary.violations) < 100:
-            summary.violations.append(record)
-    if summary.mode == "half-mu-bound":
-        mm = record["mu_A"] * record["mu_B"]
-        summary._fold_min("min_two_tau_minus_mu_mu", 2 * record["tau"] - mm)
-        summary._fold_min("min_tau_plus_support_minus_mu_mu",
-                          record["tau"] + record["support"] - mm)
-        summary._fold_max("max_tau", record["tau"])
-    elif summary.mode == "hw":
-        if record["min_count"] is not None:
-            summary._fold_min("min_count", record["min_count"])
-            summary._fold_max("max_count", record["max_count"])
-
-
-def _run_task(args: tuple) -> list[dict]:
-    mode, a, b, window, mu_max = args
-    return list(_MODE_RUNNERS[mode](a, b, window, mu_max))
-
-
-def _oracle_compare_records(spec: SearchSpec) -> Iterator[dict]:
+def _oracle_compare_records(spec: SearchSpec) -> Iterator[tuple]:
     """Seeded random tuples; on each, compare the two fiber routes on
     every z in the scan window."""
     rng = random.Random(spec.seed)
@@ -298,12 +309,30 @@ def _oracle_compare_records(spec: SearchSpec) -> Iterator[dict]:
             == fiber_class_count(ia, ib, z)
             for z in range(lo, hi + 1)
         )
-        yield {
-            "a": a, "b": b,
-            "gens_A": _gens_key(ia.min_gens), "gens_B": _gens_key(ib.min_gens),
-            "fibers": hi - lo + 1,
-            "bound_ok": agree,
-        }
+        yield (agree, a, b, hi - lo + 1, _gens_key(ia.min_gens),
+               _gens_key(ib.min_gens))
+
+
+_MODE_RUNNERS = {
+    "half-mu-bound": _half_mu_records,
+    "dual-consistency": _dual_records,
+    "hw": _hw_records,
+}
+
+_LINE_WRITERS = {
+    "half-mu-bound": _half_mu_line,
+    "dual-consistency": _dual_line,
+    "hw": _hw_line,
+    "oracle-compare": _oracle_line,
+}
+
+
+def _run_task(task: tuple, lazy: bool = False) -> tuple[Iterable, dict]:
+    """A task's records (a list, or made lazily) and the stats they fill."""
+    mode, a, b, window, mu_max = task
+    stats: dict = {}
+    records = _MODE_RUNNERS[mode](a, b, window, mu_max, stats)
+    return (records if lazy else list(records)), stats
 
 
 def run_search(spec: SearchSpec) -> SearchSummary:
@@ -313,12 +342,13 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     scheduling, so identical specs produce identical files.
     """
     summary = SearchSummary(mode=spec.mode)
+    line = _LINE_WRITERS[spec.mode]
     out = open(spec.output_path, "w") if spec.output_path else None
     pool = None
     try:
         if spec.mode == "oracle-compare":
-            chunks: Iterator[list[dict]] = iter(
-                [list(_oracle_compare_records(spec))])
+            chunks: Iterable[tuple[Iterable[tuple], dict]] = [
+                (_oracle_compare_records(spec), {})]
         else:
             tasks = [(spec.mode, a, b, spec.window_for(a, b), spec.mu_max)
                      for a, b in coprime_pairs(spec.ab_max)]
@@ -326,14 +356,17 @@ def run_search(spec: SearchSpec) -> SearchSummary:
                 pool = multiprocessing.Pool(spec.parallelism)
                 chunks = pool.imap(_run_task, tasks)
             else:
-                chunks = (_run_task(t) for t in tasks)
-        for chunk in chunks:
-            for record in chunk:
-                _fold_record(summary, record)
+                chunks = (_run_task(t, lazy=True) for t in tasks)
+        for records, stats in chunks:
+            for record in records:
+                summary.records += 1
+                if not record[0]:
+                    summary.violation_count += 1
+                    if len(summary.violations) < 100:
+                        summary.violations.append(json.loads(line(*record)))
                 if out is not None:
-                    out.write(json.dumps(record, sort_keys=True,
-                                         separators=(",", ":")))
-                    out.write("\n")
+                    out.write(line(*record))
+            _fold_stats(summary.stats, stats)
     finally:
         if pool is not None:
             pool.close()

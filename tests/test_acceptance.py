@@ -149,15 +149,15 @@ def test_criterion_7_1_and_7_6_tau_bounds_symmetry(exhaustive_ideals):
                     pairs_checked += 1
                     if t + c < mm or 2 * t < mm:
                         bound_violations += 1
-                    cache[(ga, gb)] = t
-        for (ga, gb), t in cache.items():
-            if cache[(gb, ga)] != t:
+                    cache[(ga, gb)] = (t, c)
+        for (ga, gb), tc in cache.items():
+            if cache[(gb, ga)] != tc:
                 symmetry_violations += 1
     report("7.1", bound_violations == 0,
            f"tau+support >= mu*mu and 2*tau >= mu*mu on {pairs_checked} "
            f"ordered non-principal pairs, ab <= {AB_MAX}")
     report("7.6a", symmetry_violations == 0,
-           "tau(A,B) = tau(B,A) across the same sweep")
+           "tau(A,B) = tau(B,A) and equal supports across the same sweep")
 
 
 def test_criterion_7_2_dual_consistency(exhaustive_ideals):

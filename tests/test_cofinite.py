@@ -81,7 +81,7 @@ class TestOperations:
         expected = {u + v for u in xs for v in ys if u + v <= hi}
         assert brute_members(got, got.lo, hi) == expected
 
-    def test_sumset_convolution_path(self):
+    def test_sumset_wide_head(self):
         # a head of over 64 members, so the shifted heads span many words
         s = make_semigroup([29, 31])
         p = CofiniteSet(s.frobenius + 1,

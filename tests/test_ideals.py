@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitorsion import (CofiniteSet, SemigroupMismatchError, ideal_dual,
-                         ideal_intersect, ideal_shift, ideal_sum, make_ideal,
-                         make_semigroup, minimal_generators_of_set)
+from semitorsion import (CofiniteSet, NumericalSemigroup,
+                         SemigroupMismatchError, ideal_dual, ideal_intersect,
+                         ideal_shift, ideal_sum, make_ideal, make_semigroup,
+                         minimal_generators_of_set)
 
 from conftest import knapsack_members, naive_dual_members, naive_ideal_members
 
@@ -107,6 +108,13 @@ class TestSum:
         b = make_ideal(make_semigroup([2, 5]), [0])
         with pytest.raises(SemigroupMismatchError):
             ideal_sum(a, b)
+
+    def test_equal_semigroup_objects_match(self):
+        # the identity test comes first, but equal copies still pass
+        a = make_ideal(make_semigroup([2, 3]), [0])
+        b = make_ideal(NumericalSemigroup([3, 2]), [1])
+        assert a.semigroup is not b.semigroup
+        assert ideal_sum(a, b).min_gens == (1,)
 
     @given(semigroup_and_ideal(), ideal_gens)
     @settings(max_examples=60)
@@ -222,8 +230,16 @@ class TestShift:
 
 
 class TestMinimalGeneratorsOfSet:
-    @given(semigroup_and_ideal())
+    @given(semigroup_gens, ideal_gens)
     @settings(max_examples=60)
-    def test_recovers_ideal(self, si):
-        s, a = si
-        assert minimal_generators_of_set(s, a.set) == a.min_gens
+    def test_recovers_ideal(self, semi_gens, gens):
+        # the ideal's set from a knapsack, and its minimal generators by
+        # definition: the x in it with no y in it and x - y in S \ {0}
+        s = make_semigroup(semi_gens)
+        top = min(gens) + s.frobenius + 1
+        xs = naive_ideal_members(semi_gens, gens, top)
+        members = knapsack_members(semi_gens, top - min(gens))
+        expected = tuple(sorted(
+            x for x in xs if not any(x - y in members for y in xs if y < x)))
+        assert minimal_generators_of_set(
+            s, CofiniteSet(top, [x for x in xs if x < top])) == expected

@@ -1,7 +1,10 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
+
+import semitorsion.search as search
 
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
                          coprime_pairs, make_ideal, make_semigroup,
@@ -138,8 +141,85 @@ class TestRunSearch:
     def test_parallel_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        run_search(SearchSpec(ab_max=18, mode="dual-consistency", mu_max=3,
-                              output_path=str(serial)))
-        run_search(SearchSpec(ab_max=18, mode="dual-consistency", mu_max=3,
-                              parallelism=2, output_path=str(parallel)))
-        assert serial.read_bytes() == parallel.read_bytes()
+        for mode in ("dual-consistency", "half-mu-bound"):
+            runs = [run_search(SearchSpec(ab_max=18, mode=mode, mu_max=3,
+                                          parallelism=jobs,
+                                          output_path=str(path)))
+                    for jobs, path in ((1, serial), (2, parallel))]
+            assert serial.read_bytes() == parallel.read_bytes(), mode
+            assert runs[0] == runs[1], mode
+
+
+def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:
+    """The half-mu-bound stream from one engine call per ordered pair and
+    one json.dumps per record."""
+    lines = []
+    for a, b in coprime_pairs(ab_max):
+        s = make_semigroup((a, b))
+        engine = TauEngine(s)
+        ideals = [g for g in canonical_ideal_gens(s, gen_window or a + b,
+                                                  mu_max) if len(g) >= 2]
+        for ga in ideals:
+            # by mu_B, canonical order within each mu_B (sorted is stable)
+            for gb in sorted(ideals, key=len):
+                tau, support = engine.tau_support(ga, gb)
+                mm = len(ga) * len(gb)
+                record = {
+                    "a": a, "b": b,
+                    "gens_A": ",".join(map(str, ga)),
+                    "gens_B": ",".join(map(str, gb)),
+                    "tau": tau, "support": support,
+                    "mu_A": len(ga), "mu_B": len(gb),
+                    "bound_ok": tau + support >= mm and 2 * tau >= mm,
+                }
+                lines.append(json.dumps(record, sort_keys=True,
+                                        separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+class TestRecordStream:
+    @pytest.mark.parametrize("gen_window", [0, 6])
+    def test_half_mu_matches_naive_reference(self, tmp_path, gen_window):
+        path = tmp_path / "half.jsonl"
+        summary = run_search(SearchSpec(ab_max=20, mode="half-mu-bound",
+                                        mu_max=3, gen_window=gen_window,
+                                        output_path=str(path)))
+        expected = naive_half_mu_stream(20, 3, gen_window)
+        assert summary.records == expected.count("\n") > 0
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("mode,record", [
+        ("half-mu-bound", {"a": 3, "b": 5, "bound_ok": False,
+                           "gens_A": "0,1", "gens_B": "0,1,2", "mu_A": 2,
+                           "mu_B": 3, "support": 1, "tau": 2}),
+        ("dual-consistency", {"a": 5, "b": 7, "bidual_ok": True,
+                              "bound_ok": False, "dual": "-3,0",
+                              "gens_A": "0,3", "routes_agree": False}),
+        ("dual-consistency", {"a": 5, "b": 7, "bidual_ok": False,
+                              "bound_ok": False, "dual": "0",
+                              "gens_A": "0", "routes_agree": True}),
+        ("hw", {"a": 2, "all_positive": True, "b": 3, "bound_ok": True,
+                "gap_count": 0, "max_count": None, "min_count": None}),
+        ("hw", {"a": 5, "all_positive": False, "b": 7, "bound_ok": False,
+                "gap_count": 12, "max_count": 9, "min_count": 0}),
+        ("oracle-compare", {"a": 4, "b": 9, "bound_ok": False,
+                            "fibers": 31, "gens_A": "0,1,2",
+                            "gens_B": "0,5"}),
+    ])
+    def test_line_writer_is_json_dumps(self, mode, record):
+        # writers take bound_ok first, then the fields in sorted key order
+        fields = [record[k] for k in sorted(record) if k != "bound_ok"]
+        line = search._LINE_WRITERS[mode](record["bound_ok"], *fields)
+        assert line == json.dumps(record, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    def test_violations_are_record_dicts(self, monkeypatch):
+        # a report that fails every semigroup: each record is a violation
+        monkeypatch.setattr(search, "hw_check_semigroup", lambda s:
+                            SimpleNamespace(per_gap={}, all_positive=False))
+        summary = run_search(SearchSpec(ab_max=400, mode="hw"))
+        assert summary.violation_count == summary.records > 100
+        assert len(summary.violations) == 100 and summary.stats == {}
+        assert summary.violations[0] == {
+            "a": 2, "all_positive": False, "b": 3, "bound_ok": False,
+            "gap_count": 0, "max_count": None, "min_count": None}

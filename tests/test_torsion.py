@@ -49,12 +49,13 @@ class TestFiberGraph:
     def test_every_vertex_carries_an_edge(self, example_511):
         a, b = example_511
         lo, hi = scan_window(a, b)
-        for z in range(lo, hi + 1):
+        for z in range(lo - 1, hi + 2):
             g = fiber_graph(a, b, z)
-            touched_l = {i for i, _ in g.edges}
-            touched_r = {j for _, j in g.edges}
-            assert set(g.left_vertices) == touched_l
-            assert set(g.right_vertices) == touched_r
+            # v_i is present when z - a_i lies in B, w_j when z - b_j in A
+            lefts = {i for i, x in enumerate(a.min_gens, 1) if z - x in b.set}
+            rights = {j for j, y in enumerate(b.min_gens, 1) if z - y in a.set}
+            assert set(g.left_vertices) == lefts == {i for i, _ in g.edges}
+            assert set(g.right_vertices) == rights == {j for _, j in g.edges}
 
     def test_far_degrees_stay_small(self, example_511):
         a, b = example_511
