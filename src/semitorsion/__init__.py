@@ -13,12 +13,12 @@ from .huneke_wiegand import (HWReport, RouteDisagreementError, TripleReport,
 from .ideals import (RelativeIdeal, SemigroupMismatchError, apery_set,
                      ideal_dual, ideal_intersect, ideal_shift, ideal_sum,
                      make_ideal, minimal_generators_of_set)
-from .search import (MODES, SearchSpec, SearchSummary, TauEngine,
-                     canonical_ideal_gens, coprime_pairs, run_search)
+from .search import (MODES, SearchSpec, SearchSummary, canonical_ideal_gens,
+                     coprime_pairs, run_search)
 from .semigroup import NumericalSemigroup, make_semigroup
-from .torsion import (FiberGraph, TorsionProfile, fiber_class_count,
+from .torsion import (FiberGraph, TauEngine, TorsionProfile, fiber_class_count,
                       fiber_graph, graph_to_dot, scan_window,
-                      splits_torsion_free, tau_at, torsion_bound_with_correction,
+                      splits_torsion_free, torsion_bound_with_correction,
                       torsion_profile)
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "ideal_shift",
     "minimal_generators_of_set",
     "fiber_graph",
-    "tau_at",
     "torsion_profile",
     "fiber_class_count",
     "splits_torsion_free",

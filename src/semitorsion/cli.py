@@ -16,7 +16,7 @@ from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
 from .search import MODES, SearchSpec, run_search
 from .semigroup import make_semigroup
-from .torsion import fiber_graph, graph_to_dot, torsion_profile
+from .torsion import TauEngine, fiber_graph, graph_to_dot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +59,7 @@ def cmd_tau(args) -> int:
     if args.dot is not None:
         print(graph_to_dot(fiber_graph(a, b, args.dot)))
         return 0
-    profile = torsion_profile(a, b)
+    profile = TauEngine(s).profile(a.min_gens, b.min_gens)
     print(f"tau: {profile.total}")
     print(f"support: {profile.support_size}")
     if args.profile:

@@ -18,7 +18,7 @@ from .cofinite import CofiniteSet, reverse_bits
 from .ideals import (RelativeIdeal, _from_set, apery_set, ideal_sum,
                      make_ideal)
 from .semigroup import NumericalSemigroup, make_semigroup
-from .torsion import torsion_profile
+from .torsion import TauEngine
 
 __all__ = [
     "HypersurfaceSemigroup",
@@ -51,10 +51,6 @@ class HypersurfaceSemigroup:
     b: int
     base: NumericalSemigroup
     a_inverse: int = field(compare=False, repr=False)  # a^-1 mod b
-
-    @property
-    def frobenius(self) -> int:
-        return self.base.frobenius
 
 
 def make_hypersurface(a: int, b: int) -> HypersurfaceSemigroup:
@@ -211,7 +207,7 @@ def check_half_mu_bound(h: HypersurfaceSemigroup, a: RelativeIdeal,
     _check_over(h, b)
     if a.is_principal or b.is_principal:
         raise ValueError("bounds require non-principal ideals")
-    profile = torsion_profile(a, b)
+    profile = TauEngine(h.base).profile(a.min_gens, b.min_gens)
     mm = a.mu * b.mu
     return HalfMuReport(
         tau=profile.total,

@@ -46,11 +46,6 @@ class RelativeIdeal:
         self.min_gens = min_gens
         self.set = cset
 
-    def contains(self, z: int) -> bool:
-        return z in self.set
-
-    __contains__ = contains
-
     @property
     def mu(self) -> int:
         return len(self.min_gens)

@@ -5,11 +5,11 @@ and for each semigroup all canonical ideals: minimal generator sets
 containing 0 drawn from a window [0, W). Torsion totals are shift
 invariant, so anchoring the least generator at 0 loses nothing.
 
-The torsion totals for the pair sweeps are computed by a bit-parallel
-engine: the fiber edges of a whole batch of ideals, over every degree,
-are packed into one Python int per generator pair, and the component
-counter that `fiber_graph` uses runs on all of them at once. It is
-checked against the definitional graph construction in the test suite.
+The torsion totals for the pair sweeps come from `torsion.TauEngine`:
+the fiber edges of a whole batch of ideals, over every degree, are
+packed into one Python int per generator pair, and the component
+counter that `fiber_graph` uses runs on all of them at once. The test
+suite checks it against the flood fill of `torsion_profile`.
 The half-mu sweep runs it once per unordered pair, since tau and the
 support are symmetric. A record is a tuple: bound_ok, then the fields in
 sorted key order. One fixed-schema f-string per mode writes it as the
@@ -31,8 +31,7 @@ from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
-from .torsion import (_component_reps, fiber_class_count, fiber_graph,
-                      scan_window)
+from .torsion import TauEngine, fiber_class_count, fiber_graph, scan_window
 
 __all__ = [
     "SearchSpec",
@@ -40,7 +39,6 @@ __all__ = [
     "MODES",
     "coprime_pairs",
     "canonical_ideal_gens",
-    "TauEngine",
     "run_search",
 ]
 
@@ -80,68 +78,6 @@ def canonical_ideal_gens(s: NumericalSemigroup, window: int,
 
     extend([0], 1)
     return out
-
-
-class TauEngine:
-    """Torsion totals for generator tuples over one semigroup, on bit lanes."""
-
-    def __init__(self, s: NumericalSemigroup):
-        self.s = s
-        self.f = s.frobenius
-
-    def tau_support_batch(self, ga: tuple[int, ...],
-                          gbs: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-        """(tau totals, support sizes) of (ga, gb) for gbs of equal length.
-
-        Generator tuples must be sorted minimal sets. A shared z-window
-        covers the whole batch; the extra fibers it adds for pairs with
-        smaller spread carry no torsion. Each gb owns one lane of the
-        edge ints, bit w of lane k standing for degree lo + w, and the
-        lanes are spaced so that shifting by a generator of ga never
-        carries one into the next.
-        """
-        lo = ga[0] + min(gb[0] for gb in gbs)
-        width = self.f + ga[-1] + max(gb[-1] for gb in gbs) - lo + 1
-        if width <= 0:
-            return [0] * len(gbs), [0] * len(gbs)
-        stride = width + ga[-1] - ga[0]
-        lane = (1 << width) - 1
-        member = self.s.window(0, width)
-        rows = [0] * len(gbs[0])
-        for k, gb in enumerate(gbs):
-            for j, g in enumerate(gb):
-                # bit w of row j: lo + w - ga[0] - g is a semigroup member
-                d = ga[0] + g - lo
-                rows[j] |= ((member << d) & lane) << (k * stride)
-        # `lane` repeated at every stride: the repunit has bit k*stride set
-        keep = lane * (((1 << (len(gbs) * stride)) - 1) // ((1 << stride) - 1))
-        reps = _component_reps([[(row << (g - ga[0])) & keep for row in rows]
-                                for g in ga])
-        # tau at z counts the components past the first; support the z
-        # with more than one
-        tau = [0] * len(gbs)
-        seen = reps[0]
-        multi = 0
-        for r in reps[1:]:
-            extra = r & seen
-            _add_lane_counts(tau, extra, stride, lane)
-            multi |= extra
-            seen |= r
-        support = [0] * len(gbs)
-        _add_lane_counts(support, multi, stride, lane)
-        return tau, support
-
-    def tau_support(self, ga: tuple[int, ...],
-                    gb: tuple[int, ...]) -> tuple[int, int]:
-        t, c = self.tau_support_batch(ga, [gb])
-        return t[0], c[0]
-
-
-def _add_lane_counts(totals: list[int], bits: int, stride: int,
-                     lane: int) -> None:
-    """Add to totals[k] the set bits of `bits & (lane << k*stride)`."""
-    for k in range(len(totals)):
-        totals[k] += ((bits >> (k * stride)) & lane).bit_count()
 
 
 @dataclass

@@ -6,25 +6,32 @@ bipartite graph on the minimal generators of A and B. The torsion
 number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
-Two independent computations are provided: the bipartite graph route
-(`fiber_graph`), whose components come from the bit-parallel counter
-`_component_reps` that the search engine shares, and a bit flood fill
-of the fiber itself (`fiber_class_count`).
+One engine computes them: `TauEngine` packs the fiber edges of every
+degree, for a batch of ideals, into one Python int per generator pair
+and runs the bit-parallel component counter `_component_reps` on all of
+them at once. `fiber_graph` is the definitional single graph, on the
+same counter. The independent reference uses neither the edge ints nor
+the counter: a bit flood fill of the fiber itself, `fiber_class_count`
+for one degree and `torsion_profile` over the whole scan window.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import and_, or_
 
 from .cofinite import CofiniteSet, bit_positions, reverse_bits
 from .ideals import (RelativeIdeal, _check_same, ideal_intersect, ideal_sum,
                      make_ideal)
+from .semigroup import NumericalSemigroup
 
 __all__ = [
     "FiberGraph",
     "TorsionProfile",
+    "TauEngine",
     "fiber_graph",
-    "tau_at",
     "torsion_profile",
     "fiber_class_count",
     "splits_torsion_free",
@@ -68,6 +75,75 @@ def _component_reps(edges: list[list[int]]) -> list[int]:
     return reps
 
 
+class TauEngine:
+    """Torsion numbers for generator tuples over one semigroup, on bit lanes."""
+
+    def __init__(self, s: NumericalSemigroup):
+        self.s = s
+        self.f = s.frobenius
+
+    def _excess(self, ga: tuple[int, ...],
+                gbs: list[tuple[int, ...]]) -> tuple[int, int, list[int]]:
+        """(stride, lane mask, excess ints) of (ga, gb) for gbs of one length.
+
+        A shared z-window starting at lo = ga[0] + min gb[0] covers the
+        whole batch; the extra fibers it adds for pairs with smaller
+        spread carry no torsion. Each gb owns one lane of the edge ints,
+        bit w of lane k standing for degree lo + w, and the lanes are
+        spaced so that shifting by a generator of ga never carries one
+        into the next. Excess int i has the bits where left vertex i is
+        the least of a component past the first one, so tau at a degree
+        is the number of excess ints with its bit set.
+        """
+        lo = ga[0] + min(gb[0] for gb in gbs)
+        width = self.f + ga[-1] + max(gb[-1] for gb in gbs) - lo + 1
+        if width <= 0:
+            return 0, 0, []
+        stride = width + ga[-1] - ga[0]
+        lane = (1 << width) - 1
+        member = self.s.window(0, width)
+        rows = [0] * len(gbs[0])
+        for k, gb in enumerate(gbs):
+            for j, g in enumerate(gb):
+                # bit w of row j: lo + w - ga[0] - g is a semigroup member
+                d = ga[0] + g - lo
+                rows[j] |= ((member << d) & lane) << (k * stride)
+        # `lane` repeated at every stride: the repunit has bit k*stride set
+        keep = lane * (((1 << (len(gbs) * stride)) - 1) // ((1 << stride) - 1))
+        reps = _component_reps([[(row << (g - ga[0])) & keep for row in rows]
+                                for g in ga])
+        return stride, lane, list(map(and_, reps[1:], accumulate(reps, or_)))
+
+    def tau_support_batch(self, ga: tuple[int, ...],
+                          gbs: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+        """(tau totals, support sizes) of (ga, gb) per gb; sorted minimal tuples."""
+        stride, lane, excess = self._excess(ga, gbs)
+        tau = [0] * len(gbs)
+        multi = 0  # the degrees with more than one component
+        for e in excess:
+            _add_lane_counts(tau, e, stride, lane)
+            multi |= e
+        support = [0] * len(gbs)
+        _add_lane_counts(support, multi, stride, lane)
+        return tau, support
+
+    def profile(self, ga: tuple[int, ...],
+                gb: tuple[int, ...]) -> TorsionProfile:
+        """Per-degree torsion numbers of (ga, gb) over its scan window."""
+        lo, hi = ga[0] + gb[0], self.f + ga[-1] + gb[-1]
+        excess = self._excess(ga, [gb])[2]
+        counts = Counter(z for e in excess for z in bit_positions(e, lo))
+        by_z = dict(sorted(counts.items()))
+        return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
+
+
+def _add_lane_counts(totals: list[int], bits: int, stride: int,
+                     lane: int) -> None:
+    """Add to totals[k] the set bits of `bits & (lane << k*stride)`."""
+    for k in range(len(totals)):
+        totals[k] += ((bits >> (k * stride)) & lane).bit_count()
+
+
 @dataclass(frozen=True)
 class FiberGraph:
     """Bipartite graph over z: v_i for generators of A, w_j for B.
@@ -101,17 +177,12 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     return FiberGraph(z, lefts, rights, edges, sum(_component_reps(grid)))
 
 
-def tau_at(a: RelativeIdeal, b: RelativeIdeal, z: int) -> int:
-    """Torsion number at z: components of the fiber graph minus one."""
-    return max(0, fiber_graph(a, b, z).component_count - 1)
-
-
 @dataclass(frozen=True)
 class TorsionProfile:
     """Torsion numbers of a pair of ideals, indexed by degree."""
 
     window: tuple[int, int]
-    tau_by_z: dict[int, int] = field(compare=False)
+    tau_by_z: dict[int, int] = field(hash=False)
     total: int = 0
     support_size: int = 0
 
@@ -129,13 +200,15 @@ def scan_window(a: RelativeIdeal, b: RelativeIdeal) -> tuple[int, int]:
 
 
 def torsion_profile(a: RelativeIdeal, b: RelativeIdeal) -> TorsionProfile:
+    """Reference profile: fiber classes minus one, flood-filled per degree.
+
+    It uses neither the engine's edge ints nor `_component_reps`, so it
+    is the independent route that `TauEngine.profile` is checked against.
+    """
     _check_same(a, b)
     lo, hi = scan_window(a, b)
-    by_z = {}
-    for z in range(lo, hi + 1):
-        t = tau_at(a, b, z)
-        if t:
-            by_z[z] = t
+    by_z = {z: count - 1 for z in range(lo, hi + 1)
+            if (count := fiber_class_count(a, b, z)) > 1}
     return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
 
 
@@ -214,7 +287,8 @@ def torsion_bound_with_correction(a: RelativeIdeal, b: RelativeIdeal,
     `c` must contain the sum ideal's set (it plays the role of a product
     set that may be strictly larger than the sum of the summand sets).
     """
-    total = torsion_profile(a, b).total
+    _check_same(a, b)
+    total = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens).total
     sum_set = ideal_sum(a, b).set
     if not sum_set.issubset(c):
         raise ValueError("correction set does not contain the sum ideal")

@@ -46,7 +46,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_hypersurface(7, 5)
         h = make_hypersurface(5, 7)
-        assert h.frobenius == 23 and h.base is make_semigroup([5, 7])
+        assert h.base.frobenius == 23 and h.base is make_semigroup([5, 7])
 
     def test_rejects_foreign_ideal(self, h57):
         foreign = make_ideal(make_semigroup([2, 3]), [0, 1])

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_fiber_classes
-from semitorsion import (boundary_cycle, check_half_mu_bound, dual_formula,
-                         dual_symmetric, fiber_class_count, fiber_graph,
-                         ideal_dual, ideal_shift, make_hypersurface,
-                         make_ideal, make_semigroup, ordered_generators,
-                         scan_window, splits_torsion_free, tau_at,
+from semitorsion import (TauEngine, boundary_cycle, check_half_mu_bound,
+                         dual_formula, dual_symmetric, fiber_class_count,
+                         fiber_graph, ideal_dual, ideal_shift,
+                         make_hypersurface, make_ideal, make_semigroup,
+                         ordered_generators, scan_window, splits_torsion_free,
                          torsion_generator_pairs, torsion_profile)
 
 
@@ -122,11 +122,13 @@ def test_fiber_routes_match_brute_force(pair):
     a, b = pair
     semi_gens = list(a.semigroup.generators)
     lo, hi = scan_window(a, b)
+    profile = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens)
     for z in range(lo - 1, hi + 2):
         expected = naive_fiber_classes(semi_gens, list(a.min_gens),
                                        list(b.min_gens), z)
         assert fiber_class_count(a, b, z) == expected, z
         assert fiber_graph(a, b, z).component_count == expected, z
+        assert profile.tau_by_z.get(z, 0) == max(0, expected - 1), z
 
 
 @given(general_ideal_pair())
@@ -150,4 +152,6 @@ def test_tau_nonnegative_and_window(pair):
     assert profile.total == sum(profile.tau_by_z.values())
     assert profile.support_size == len(profile.tau_by_z)
     assert all(lo <= z <= hi and t > 0 for z, t in profile.tau_by_z.items())
-    assert tau_at(a, b, hi + 1) == 0 and tau_at(a, b, lo - 1) == 0
+    for z in (lo - 1, hi + 1):
+        assert fiber_graph(a, b, z).component_count <= 1, z
+        assert fiber_class_count(a, b, z) <= 1, z

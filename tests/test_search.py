@@ -45,9 +45,8 @@ class TestTauEngine:
         gens = canonical_ideal_gens(s, a + b, 3)
         for ga in gens:
             for gb in gens:
-                tau, support = engine.tau_support(ga, gb)
                 profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
-                assert (tau, support) == (profile.total, profile.support_size), (ga, gb)
+                assert engine.profile(ga, gb) == profile, (ga, gb)
 
     def test_batch_grouping(self):
         s = make_semigroup([5, 7])
@@ -57,6 +56,8 @@ class TestTauEngine:
         for group in ([(0, 1), (0, 2), (0, 11)], [(-2, 1), (0, 3), (5, 6)]):
             taus, supports = engine.tau_support_batch((0, 1, 3), group)
             for gb, t, c in zip(group, taus, supports):
+                single = engine.profile((0, 1, 3), gb)
+                assert (t, c) == (single.total, single.support_size), gb
                 profile = torsion_profile(make_ideal(s, (0, 1, 3)),
                                           make_ideal(s, gb))
                 assert (int(t), int(c)) == (profile.total,
@@ -81,8 +82,7 @@ class TestTauEngine:
         for ga, gb in [((-4, -3), (-2, 1)), ((17, 21, 25), (0, 3, 4)),
                        ((-4, -3), (0, 1, 3))]:
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
-            assert engine.tau_support(ga, gb) == (profile.total,
-                                                  profile.support_size)
+            assert engine.profile(ga, gb) == profile, (ga, gb)
 
 
 class TestSpec:
@@ -162,7 +162,8 @@ def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:
         for ga in ideals:
             # by mu_B, canonical order within each mu_B (sorted is stable)
             for gb in sorted(ideals, key=len):
-                tau, support = engine.tau_support(ga, gb)
+                profile = engine.profile(ga, gb)
+                tau, support = profile.total, profile.support_size
                 mm = len(ga) * len(gb)
                 record = {
                     "a": a, "b": b,

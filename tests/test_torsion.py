@@ -4,11 +4,14 @@ import tracemalloc
 
 import pytest
 
-from semitorsion import (CofiniteSet, SemigroupMismatchError, fiber_class_count,
-                         fiber_graph, graph_to_dot, ideal_intersect,
-                         ideal_shift, ideal_sum, make_ideal, make_semigroup,
-                         scan_window, splits_torsion_free, tau_at,
-                         torsion_bound_with_correction, torsion_profile)
+import semitorsion.torsion as torsion
+from conftest import naive_fiber_classes
+from semitorsion import (CofiniteSet, SemigroupMismatchError, TauEngine,
+                         TorsionProfile, fiber_class_count, fiber_graph,
+                         graph_to_dot, ideal_intersect, ideal_shift, ideal_sum,
+                         make_ideal, make_semigroup, scan_window,
+                         splits_torsion_free, torsion_bound_with_correction,
+                         torsion_profile)
 
 
 @pytest.fixture
@@ -83,9 +86,10 @@ class TestFiberGraph:
 class TestTauAt:
     def test_examples(self, example_511):
         a, b = example_511
-        assert tau_at(a, b, 45) == 2
-        assert tau_at(a, b, 55) == 0
-        assert tau_at(a, b, 44) == 2
+        tau_by_z = torsion_profile(a, b).tau_by_z
+        assert tau_by_z.get(45, 0) == 2
+        assert tau_by_z.get(55, 0) == 0
+        assert tau_by_z.get(44, 0) == 2
 
 
 class TestTorsionProfile:
@@ -115,7 +119,41 @@ class TestTorsionProfile:
         # beyond the window the graph is complete bipartite
         g = fiber_graph(a, b, hi + 1)
         assert len(g.edges) == a.mu * b.mu
-        assert tau_at(a, b, hi + 1) == 0 and tau_at(a, b, lo - 1) == 0
+        for z in (lo - 1, hi + 1):
+            assert fiber_graph(a, b, z).component_count <= 1, z
+            assert fiber_class_count(a, b, z) <= 1, z
+
+    def test_equality_compares_degrees(self):
+        p = TorsionProfile((0, 5), {1: 1}, 1, 1)
+        q = TorsionProfile((0, 5), {2: 1}, 1, 1)
+        assert p != q
+        assert p == TorsionProfile((0, 5), {1: 1}, 1, 1)
+        assert hash(p) == hash(q)
+
+    def test_independent_of_engine(self, monkeypatch):
+        # the reference route must not lean on the engine's counter
+        def broken(*args):
+            raise RuntimeError("engine code reached")
+
+        monkeypatch.setattr(torsion, "_component_reps", broken)
+        monkeypatch.setattr(TauEngine, "tau_support_batch", broken)
+        with pytest.raises(RuntimeError):
+            TauEngine(make_semigroup([5, 11])).profile((0, 1), (0, 2))
+        s = make_semigroup([3, 7])
+        for ga, gb in [((0, 1, 2), (0, 1, 2)), ((-1, 0, 1), (0, 1)),
+                       ((0, 4, 8), (0, 1, 5))]:
+            a, b = make_ideal(s, ga), make_ideal(s, gb)
+            lo, hi = scan_window(a, b)
+            expected = {}
+            for z in range(lo, hi + 1):
+                count = naive_fiber_classes([3, 7], list(a.min_gens),
+                                            list(b.min_gens), z)
+                if count > 1:
+                    expected[z] = count - 1
+            p = torsion_profile(a, b)
+            assert p.tau_by_z == expected, (ga, gb)
+            assert (p.total, p.support_size) == (sum(expected.values()),
+                                                 len(expected))
 
     def test_empty_window_for_principal_pair(self):
         s = make_semigroup([1])
