@@ -37,10 +37,6 @@ def _semigroup(text: str):
     return make_semigroup(_parse_ints(text, "semigroup"))
 
 
-def _gens(ideal) -> str:
-    return ",".join(str(g) for g in ideal.min_gens)
-
-
 def cmd_info(args) -> int:
     s = _semigroup(args.semigroup)
     g = s.gaps()
@@ -79,7 +75,7 @@ def cmd_dual(args) -> int:
         dual = dual_formula(make_hypersurface(*s.generators), ideal)
     else:
         dual = dual_symmetric(s, ideal)
-    print(_gens(dual))
+    print(",".join(str(g) for g in dual.min_gens))
     return 0
 
 

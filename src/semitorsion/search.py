@@ -8,8 +8,9 @@ invariant, so anchoring the least generator at 0 loses nothing.
 The torsion totals for the pair sweeps come from `torsion.TauEngine`:
 the fiber edges of a whole batch of ideals, over every degree, are
 packed into one Python int per generator pair, and the component
-counter that `fiber_graph` uses runs on all of them at once. The test
-suite checks it against the flood fill of `torsion_profile`.
+counter `_component_reps` runs on all of them at once. The test suite
+checks it against the flood fill of `torsion_profile`; `oracle-compare`
+checks the counter, without the engine, against `fiber_class_count`.
 The half-mu sweep runs it once per unordered pair, since tau and the
 support are symmetric. A record is a tuple: bound_ok, then the fields in
 sorted key order. One fixed-schema f-string per mode writes it as the
@@ -31,7 +32,8 @@ from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
-from .torsion import TauEngine, fiber_class_count, fiber_graph, scan_window
+from .torsion import (TauEngine, fiber_class_count, fiber_component_counts,
+                      scan_window)
 
 __all__ = [
     "SearchSpec",
@@ -224,8 +226,9 @@ def _hw_records(a: int, b: int, window: int, mu_max: int,
 
 
 def _oracle_compare_records(spec: SearchSpec) -> Iterator[tuple]:
-    """Seeded random tuples; on each, compare the two fiber routes on
-    every z in the scan window."""
+    """Seeded random tuples; on each, compare the fiber graph component
+    counts of the scan window (one counter call, no engine) with the
+    flood fill of every fiber in it."""
     rng = random.Random(spec.seed)
     pairs = coprime_pairs(spec.ab_max)
     ideal_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -240,10 +243,11 @@ def _oracle_compare_records(spec: SearchSpec) -> Iterator[tuple]:
         ia = make_ideal(s, rng.choice(gens))
         ib = make_ideal(s, rng.choice(gens))
         lo, hi = scan_window(ia, ib)
+        # strict: a count list short of the window raises, never skips
         agree = all(
-            fiber_graph(ia, ib, z).component_count
-            == fiber_class_count(ia, ib, z)
-            for z in range(lo, hi + 1)
+            count == fiber_class_count(ia, ib, z)
+            for count, z in zip(fiber_component_counts(ia, ib),
+                                range(lo, hi + 1), strict=True)
         )
         yield (agree, a, b, hi - lo + 1, _gens_key(ia.min_gens),
                _gens_key(ib.min_gens))

@@ -9,10 +9,12 @@ the total over all z is the torsion number of the pair.
 One engine computes them: `TauEngine` packs the fiber edges of every
 degree, for a batch of ideals, into one Python int per generator pair
 and runs the bit-parallel component counter `_component_reps` on all of
-them at once. `fiber_graph` is the definitional single graph, on the
-same counter. The independent reference uses neither the edge ints nor
-the counter: a bit flood fill of the fiber itself, `fiber_class_count`
-for one degree and `torsion_profile` over the whole scan window.
+them at once. `_fiber_edges` is the definitional edge rule, one degree
+per bit: `fiber_component_counts` counts a whole scan window on it with
+the same counter, and `fiber_graph` reads one degree of it. The
+independent reference uses neither the edge ints nor the counter: a bit
+flood fill of the fiber itself, `fiber_class_count` for one degree and
+`torsion_profile` over the whole scan window.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "TorsionProfile",
     "TauEngine",
     "fiber_graph",
+    "fiber_component_counts",
     "torsion_profile",
     "fiber_class_count",
     "splits_torsion_free",
@@ -160,14 +163,16 @@ class FiberGraph:
     component_count: int
 
 
+def _fiber_edges(a: RelativeIdeal, b: RelativeIdeal, lo: int,
+                 hi: int) -> list[list[int]]:
+    """Bit w of (i, j): lo + w - a_i - b_j is in S, the edge over lo + w."""
+    return [[a.semigroup.window(lo - x - y, hi + 1 - x - y)
+             for y in b.min_gens] for x in a.min_gens]
+
+
 def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     _check_same(a, b)
-    ga, gb = a.min_gens, b.min_gens
-    # bit k of `member` says lo + k is in S; every z - a_i - b_j lies in
-    # [lo, z - a_1 - b_1]
-    lo = z - ga[-1] - gb[-1]
-    member = a.semigroup.window(lo, z - ga[0] - gb[0] + 1)
-    grid = [[(member >> (z - x - y - lo)) & 1 for y in gb] for x in ga]
+    grid = _fiber_edges(a, b, z, z)
     edges = frozenset((i, j) for i, row in enumerate(grid, 1)
                       for j, e in enumerate(row, 1) if e)
     # B is the union of the b_j + S, so z - a_i is in B exactly when row
@@ -175,6 +180,14 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     lefts = tuple(sorted({i for i, _ in edges}))
     rights = tuple(sorted({j for _, j in edges}))
     return FiberGraph(z, lefts, rights, edges, sum(_component_reps(grid)))
+
+
+def fiber_component_counts(a: RelativeIdeal, b: RelativeIdeal) -> list[int]:
+    """Fiber graph component counts over `scan_window`, one counter call."""
+    _check_same(a, b)
+    lo, hi = scan_window(a, b)
+    reps = _component_reps(_fiber_edges(a, b, lo, hi))
+    return [sum(rep >> w & 1 for rep in reps) for w in range(hi - lo + 1)]
 
 
 @dataclass(frozen=True)
@@ -220,10 +233,16 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, z: int) -> int:
     |x - x'| is a semigroup member. A class grows by shifting its newest
     nodes by each member up to F, and by the prefix and suffix masks of
     the nodes more than F away, which are always joined.
+
+    Far degrees need no fill: once z >= A.threshold + B.threshold + 2F
+    + 3, all of [A.threshold, z - B.threshold] are nodes, every node is
+    more than F from one end of it, and the ends are more than F apart.
     """
     _check_same(a, b)
     s = a.semigroup
     f = s.frobenius
+    if z >= a.set.threshold + b.set.threshold + 2 * f + 3:
+        return 1
     lo, hi = a.set.lo, z - b.set.lo
     width = hi - lo + 1
     if width <= 0:
@@ -262,15 +281,10 @@ def splits_torsion_free(a: RelativeIdeal, b: RelativeIdeal,
         raise ValueError(f"{n} generators exceeds split cap {cap}")
     s = a.semigroup
     gens = a.min_gens
-    # Fixing the first generator on the left halves the subset count;
-    # a split and its complement give the same identity.
-    for bits in range(0, 1 << (n - 1)):
-        left = [gens[0]]
-        right = []
-        for k in range(1, n):
-            (left if (bits >> (k - 1)) & 1 else right).append(gens[k])
-        if not right:
-            continue
+    # P holds gens[0], as a split and its complement agree; Q is non-empty
+    for bits in range((1 << (n - 1)) - 1):
+        left = [gens[0]] + [g for k, g in enumerate(gens[1:]) if bits >> k & 1]
+        right = [g for k, g in enumerate(gens[1:]) if not bits >> k & 1]
         p = make_ideal(s, left)
         q = make_ideal(s, right)
         lhs = ideal_sum(ideal_intersect(p, q), b)

@@ -13,7 +13,8 @@ import pytest
 
 from semitorsion import (CofiniteSet, TauEngine, boundary_cycle,
                          canonical_ideal_gens, coprime_pairs, dual_formula,
-                         dual_symmetric, fiber_class_count, fiber_graph,
+                         dual_symmetric, fiber_class_count,
+                         fiber_component_counts, fiber_graph,
                          hw_check_semigroup, ideal_dual, ideal_shift,
                          ideal_sum, make_hypersurface, make_ideal,
                          make_semigroup, ordered_generators, scan_window,
@@ -201,10 +202,14 @@ def test_criterion_7_4_oracle_agreement(exhaustive_ideals):
         for ia in ideals:
             for ib in ideals:
                 lo, hi = scan_window(ia, ib)
+                counts = fiber_component_counts(ia, ib)
+                if len(counts) != hi - lo + 1:
+                    disagreements += 1
                 for z in range(lo, hi + 1):
                     fibers += 1
-                    if (fiber_graph(ia, ib, z).component_count
-                            != fiber_class_count(ia, ib, z)):
+                    classes = fiber_class_count(ia, ib, z)
+                    if (fiber_graph(ia, ib, z).component_count != classes
+                            or counts[z - lo] != classes):
                         disagreements += 1
     # seeded samples across the full range
     rng = random.Random(2024)
@@ -214,13 +219,18 @@ def test_criterion_7_4_oracle_agreement(exhaustive_ideals):
         ia = make_ideal(s, rng.choice(gens))
         ib = make_ideal(s, rng.choice(gens))
         lo, hi = scan_window(ia, ib)
+        counts = fiber_component_counts(ia, ib)
+        if len(counts) != hi - lo + 1:
+            disagreements += 1
         for z in range(lo, hi + 1):
             fibers += 1
-            if (fiber_graph(ia, ib, z).component_count
-                    != fiber_class_count(ia, ib, z)):
+            classes = fiber_class_count(ia, ib, z)
+            if (fiber_graph(ia, ib, z).component_count != classes
+                    or counts[z - lo] != classes):
                 disagreements += 1
     report("7.4", disagreements == 0,
-           f"graph components = fiber classes on {fibers} fibers "
+           f"graph components (per degree and per window) = fiber classes "
+           f"on {fibers} fibers "
            f"(exhaustive ab <= 24 plus 150 seeded tuples to ab <= 80)")
 
 

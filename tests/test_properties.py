@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from conftest import naive_fiber_classes
 from semitorsion import (TauEngine, boundary_cycle, check_half_mu_bound,
                          dual_formula, dual_symmetric, fiber_class_count,
-                         fiber_graph, ideal_dual, ideal_shift,
-                         make_hypersurface, make_ideal, make_semigroup,
-                         ordered_generators, scan_window, splits_torsion_free,
-                         torsion_generator_pairs, torsion_profile)
+                         fiber_component_counts, fiber_graph, ideal_dual,
+                         ideal_shift, make_hypersurface, make_ideal,
+                         make_semigroup, ordered_generators, scan_window,
+                         splits_torsion_free, torsion_generator_pairs,
+                         torsion_profile)
 
 
 @st.composite
@@ -123,12 +124,18 @@ def test_fiber_routes_match_brute_force(pair):
     semi_gens = list(a.semigroup.generators)
     lo, hi = scan_window(a, b)
     profile = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens)
+    # one counter call over the window: vertices that meet only through
+    # a third close across bits of the same ints
+    counts = fiber_component_counts(a, b)
+    assert len(counts) == hi - lo + 1
     for z in range(lo - 1, hi + 2):
         expected = naive_fiber_classes(semi_gens, list(a.min_gens),
                                        list(b.min_gens), z)
         assert fiber_class_count(a, b, z) == expected, z
         assert fiber_graph(a, b, z).component_count == expected, z
         assert profile.tau_by_z.get(z, 0) == max(0, expected - 1), z
+        if lo <= z <= hi:
+            assert counts[z - lo] == expected, z
 
 
 @given(general_ideal_pair())

@@ -8,7 +8,7 @@ import semitorsion.search as search
 
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
                          coprime_pairs, make_ideal, make_semigroup,
-                         run_search, torsion_profile)
+                         run_search, scan_window, torsion_profile)
 
 
 class TestEnumeration:
@@ -120,6 +120,38 @@ class TestRunSearch:
         summary = run_search(SearchSpec(ab_max=20, mode="oracle-compare",
                                         mu_max=3, samples=25, seed=11))
         assert summary.ok and summary.records == 25
+
+    def test_oracle_catches_one_bad_degree(self, monkeypatch, tmp_path):
+        # a flood fill off by one at the top degree of each window only:
+        # a comparison that skips the last degree would miss every one
+        true_count = search.fiber_class_count
+
+        def off_at_top(a, b, z):
+            return true_count(a, b, z) + (z == scan_window(a, b)[1])
+
+        monkeypatch.setattr(search, "fiber_class_count", off_at_top)
+        out = tmp_path / "oracle.jsonl"
+        summary = run_search(SearchSpec(ab_max=20, mode="oracle-compare",
+                                        mu_max=3, samples=25, seed=11,
+                                        output_path=str(out)))
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == summary.records == 25
+        assert not any(r["bound_ok"] for r in records)
+        assert summary.violation_count == 25 and not summary.ok
+        assert summary.violations == records
+
+    def test_oracle_never_enters_engine(self, monkeypatch):
+        # oracle-compare checks the counter without the engine's lanes
+        def broken(*args):
+            raise RuntimeError("engine code reached")
+
+        monkeypatch.setattr(TauEngine, "_excess", broken)
+        monkeypatch.setattr(TauEngine, "tau_support_batch", broken)
+        summary = run_search(SearchSpec(ab_max=20, mode="oracle-compare",
+                                        mu_max=3, samples=25, seed=11))
+        assert summary.ok and summary.records == 25
+        with pytest.raises(RuntimeError):
+            TauEngine(make_semigroup([5, 7])).profile((0, 1), (0, 2))
 
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

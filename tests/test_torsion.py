@@ -7,7 +7,8 @@ import pytest
 import semitorsion.torsion as torsion
 from conftest import naive_fiber_classes
 from semitorsion import (CofiniteSet, SemigroupMismatchError, TauEngine,
-                         TorsionProfile, fiber_class_count, fiber_graph,
+                         TorsionProfile, fiber_class_count,
+                         fiber_component_counts, fiber_graph,
                          graph_to_dot, ideal_intersect, ideal_shift, ideal_sum,
                          make_ideal, make_semigroup, scan_window,
                          splits_torsion_free, torsion_bound_with_correction,
@@ -81,6 +82,29 @@ class TestFiberGraph:
         b = make_ideal(make_semigroup([2, 5]), [0])
         with pytest.raises(SemigroupMismatchError):
             fiber_graph(a, b, 4)
+
+
+class TestFiberComponentCounts:
+    def test_matches_graph_per_degree(self, example_511):
+        a, b = example_511
+        lo, hi = scan_window(a, b)
+        counts = fiber_component_counts(a, b)
+        assert counts == [fiber_graph(a, b, z).component_count
+                          for z in range(lo, hi + 1)]
+        # degrees 44, 45 and 55 of the worked example
+        assert (counts[44 - lo], counts[45 - lo], counts[55 - lo]) == (3, 3, 1)
+
+    def test_empty_window(self):
+        s = make_semigroup([1])
+        a, b = make_ideal(s, [3]), make_ideal(s, [5])
+        assert scan_window(a, b) == (8, 7)
+        assert fiber_component_counts(a, b) == []
+
+    def test_mismatch(self):
+        a = make_ideal(make_semigroup([2, 3]), [0])
+        b = make_ideal(make_semigroup([2, 5]), [0])
+        with pytest.raises(SemigroupMismatchError):
+            fiber_component_counts(a, b)
 
 
 class TestTauAt:
@@ -198,6 +222,36 @@ class TestFiberClassCount:
             for z in range(lo, hi + 1):
                 assert (fiber_class_count(ia, ib, z)
                         == fiber_graph(ia, ib, z).component_count), (ga, gb, z)
+
+    def test_far_degrees_stay_small(self, example_511):
+        a, b = example_511
+        tracemalloc.start()
+        try:
+            low = fiber_class_count(a, b, -10**7)
+            high = fiber_class_count(a, b, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (low, high) == (0, 1)
+        assert peak < 64 * 1024, peak
+
+    @pytest.mark.parametrize("semi,ga,gb", [
+        ([5, 11], [20, 21, 22], [0, 23, 24]),
+        ([3, 7], [-1, 0, 1], [0, 1, 2]),
+        ([4, 5, 6], [4, 5], [4, 5]),
+        ([2, 3], [2, 3], [0, 1]),  # two classes at bound - 3
+        ([1], [3], [5]),  # empty fibers up to bound - 2
+    ])
+    def test_one_class_bound(self, semi, ga, gb):
+        # at A.threshold + B.threshold + 2F + 3 the count is 1 without a
+        # fill; the degrees just below it still run the fill
+        s = make_semigroup(semi)
+        a, b = make_ideal(s, ga), make_ideal(s, gb)
+        bound = a.set.threshold + b.set.threshold + 2 * s.frobenius + 3
+        for z in range(bound - 3, bound + 1):
+            assert fiber_class_count(a, b, z) == naive_fiber_classes(
+                list(s.generators), list(a.min_gens), list(b.min_gens), z), z
+        assert fiber_class_count(a, b, bound) == 1
 
 
 class TestSplits:
