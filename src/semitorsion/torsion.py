@@ -13,8 +13,8 @@ them at once. `_fiber_edges` is the definitional edge rule, one degree
 per bit: `fiber_component_counts` counts a whole scan window on it with
 the same counter, and `fiber_graph` reads one degree of it. The
 independent reference uses neither the edge ints nor the counter: a bit
-flood fill of the fiber itself, `fiber_class_count` for one degree and
-`torsion_profile` over the whole scan window.
+flood fill of the fibers by generator steps, `fiber_class_count` over
+a window of degrees and `torsion_profile` over the whole scan window.
 """
 
 from __future__ import annotations
@@ -186,8 +186,11 @@ def fiber_component_counts(a: RelativeIdeal, b: RelativeIdeal) -> list[int]:
     """Fiber graph component counts over `scan_window`, one counter call."""
     _check_same(a, b)
     lo, hi = scan_window(a, b)
-    reps = _component_reps(_fiber_edges(a, b, lo, hi))
-    return [sum(rep >> w & 1 for rep in reps) for w in range(hi - lo + 1)]
+    counts = [0] * (hi - lo + 1)
+    for rep in _component_reps(_fiber_edges(a, b, lo, hi)):
+        for w in bit_positions(rep):
+            counts[w] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -213,58 +216,65 @@ def scan_window(a: RelativeIdeal, b: RelativeIdeal) -> tuple[int, int]:
 
 
 def torsion_profile(a: RelativeIdeal, b: RelativeIdeal) -> TorsionProfile:
-    """Reference profile: fiber classes minus one, flood-filled per degree.
+    """Reference profile: fiber classes minus one, one window flood fill.
 
     It uses neither the engine's edge ints nor `_component_reps`, so it
     is the independent route that `TauEngine.profile` is checked against.
     """
-    _check_same(a, b)
     lo, hi = scan_window(a, b)
-    by_z = {z: count - 1 for z in range(lo, hi + 1)
-            if (count := fiber_class_count(a, b, z)) > 1}
+    by_z = {z: count - 1 for z, count in
+            enumerate(fiber_class_count(a, b, lo, hi), lo) if count > 1}
     return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
 
 
-def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, z: int) -> int:
-    """Number of tensor classes over z, by flood-filling the fiber directly.
+def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
+                      hi: int) -> list[int]:
+    """Tensor classes over each z in [lo, hi], by flood-filling the fibers.
 
-    Nodes are the x with x in A and z - x in B, as bits over
-    [min A, z - min B]; x and x' fall in the same class exactly when
-    |x - x'| is a semigroup member. A class grows by shifting its newest
-    nodes by each member up to F, and by the prefix and suffix masks of
-    the nodes more than F away, which are always joined.
+    The nodes over z are the x in A with z - x in B, as bits over
+    [min A, z - min B]; x and x' share a class exactly when |x - x'| is
+    in S. Generator steps suffice: if x and x + s are nodes with s = g1
+    + ... + gk in S, each partial sum y = x + g1 + ... + gi is a node,
+    as y is in A + S, inside A, and z - y = (z - x - s) + g(i+1) + ...
+    + gk is in B + S, inside B. A class grows by its newest nodes
+    shifted by each generator, and by the nodes more than F away, which
+    are always joined (prefix and suffix masks).
 
-    Far degrees need no fill: once z >= A.threshold + B.threshold + 2F
-    + 3, all of [A.threshold, z - B.threshold] are nodes, every node is
-    more than F from one end of it, and the ends are more than F apart.
+    A's bits and B's reversed bits are built once, over a frame ending
+    at the last degree to fill; the nodes over z are one shift and one
+    AND. Below min A + min B the fiber is empty. From z = A.threshold +
+    B.threshold + 2F + 3 on the count is 1 without a fill: all of
+    [A.threshold, z - B.threshold] are nodes, each more than F from one
+    end of it, and the ends are more than F apart.
     """
     _check_same(a, b)
-    s = a.semigroup
-    f = s.frobenius
-    if z >= a.set.threshold + b.set.threshold + 2 * f + 3:
-        return 1
-    lo, hi = a.set.lo, z - b.set.lo
-    width = hi - lo + 1
-    if width <= 0:
-        return 0
-    nodes = a.set.window(lo, hi + 1) & reverse_bits(
-        b.set.window(z - hi, z - lo + 1), width)
-    small = bit_positions(s.bits & ~1)
-    count = 0
-    while nodes:
-        cls = new = nodes & -nodes
-        while new:
-            grown = -1 << ((new & -new).bit_length() + f)
-            top = new.bit_length() - f - 1
-            if top > 0:
-                grown |= (1 << top) - 1
-            for m in small:
-                grown |= (new << m) | (new >> m)
-            new = grown & nodes & ~cls
-            cls |= new
-        nodes &= ~cls
-        count += 1
-    return count
+    f, gens = a.semigroup.frobenius, a.semigroup.generators
+    base = a.set.lo + b.set.lo
+    cut = a.set.threshold + b.set.threshold + 2 * f + 3
+    counts = [0] * (min(hi + 1, base) - lo)
+    top = min(hi, cut - 1)
+    if max(lo, base) <= top:
+        amask = a.set.window(a.set.lo, top - b.set.lo + 1)
+        rev = reverse_bits(b.set.window(b.set.lo, top - a.set.lo + 1),
+                           top - base + 1)
+        for z in range(max(lo, base), top + 1):
+            nodes = amask & (rev >> (top - z))
+            count = 0
+            while nodes:
+                cls = new = nodes & -nodes
+                while new:
+                    grown = -1 << ((new & -new).bit_length() + f)
+                    below = new.bit_length() - f - 1
+                    if below > 0:
+                        grown |= (1 << below) - 1
+                    for g in gens:
+                        grown |= (new << g) | (new >> g)
+                    new = grown & nodes & ~cls
+                    cls |= new
+                nodes &= ~cls
+                count += 1
+            counts.append(count)
+    return counts + [1] * (hi + 1 - max(lo, cut))
 
 
 def splits_torsion_free(a: RelativeIdeal, b: RelativeIdeal,

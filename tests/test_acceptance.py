@@ -99,8 +99,8 @@ def test_criterion_5_degree_44_discrepancy():
     a = make_ideal(s, [20, 21, 22])
     b = make_ideal(s, [0, 23, 24])
     g = fiber_graph(a, b, 44)
-    classes = fiber_class_count(a, b, 44)
-    ok = (g.component_count == 3 and classes == 3
+    classes = fiber_class_count(a, b, 44, 44)
+    ok = (g.component_count == 3 and classes == [3]
           and set(g.left_vertices) == {1, 2, 3}
           and set(g.right_vertices) == {1, 2, 3})
     report("5", ok, "both routes give 3 classes over z=44, all six vertices")
@@ -207,9 +207,9 @@ def test_criterion_7_4_oracle_agreement(exhaustive_ideals):
                     disagreements += 1
                 for z in range(lo, hi + 1):
                     fibers += 1
-                    classes = fiber_class_count(ia, ib, z)
-                    if (fiber_graph(ia, ib, z).component_count != classes
-                            or counts[z - lo] != classes):
+                    classes = fiber_class_count(ia, ib, z, z)
+                    if (classes != [fiber_graph(ia, ib, z).component_count]
+                            or classes != [counts[z - lo]]):
                         disagreements += 1
     # seeded samples across the full range
     rng = random.Random(2024)
@@ -224,9 +224,9 @@ def test_criterion_7_4_oracle_agreement(exhaustive_ideals):
             disagreements += 1
         for z in range(lo, hi + 1):
             fibers += 1
-            classes = fiber_class_count(ia, ib, z)
-            if (fiber_graph(ia, ib, z).component_count != classes
-                    or counts[z - lo] != classes):
+            classes = fiber_class_count(ia, ib, z, z)
+            if (classes != [fiber_graph(ia, ib, z).component_count]
+                    or classes != [counts[z - lo]]):
                 disagreements += 1
     report("7.4", disagreements == 0,
            f"graph components (per degree and per window) = fiber classes "

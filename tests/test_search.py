@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing.pool
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +9,7 @@ import semitorsion.search as search
 
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
                          coprime_pairs, make_ideal, make_semigroup,
-                         run_search, scan_window, torsion_profile)
+                         run_search, torsion_profile)
 
 
 class TestEnumeration:
@@ -126,8 +127,10 @@ class TestRunSearch:
         # a comparison that skips the last degree would miss every one
         true_count = search.fiber_class_count
 
-        def off_at_top(a, b, z):
-            return true_count(a, b, z) + (z == scan_window(a, b)[1])
+        def off_at_top(a, b, lo, hi):
+            counts = true_count(a, b, lo, hi)
+            counts[-1] += 1  # the window's top degree
+            return counts
 
         monkeypatch.setattr(search, "fiber_class_count", off_at_top)
         out = tmp_path / "oracle.jsonl"
@@ -180,6 +183,54 @@ class TestRunSearch:
                     for jobs, path in ((1, serial), (2, parallel))]
             assert serial.read_bytes() == parallel.read_bytes(), mode
             assert runs[0] == runs[1], mode
+
+    def test_failed_run_leaves_output_alone(self, monkeypatch, tmp_path):
+        # the runner fails on the fourth semigroup, after three records
+        true_runner = search._MODE_RUNNERS["hw"]
+
+        def failing(a, b, window, mu_max, stats):
+            if (a, b) == (3, 4):
+                raise RuntimeError("runner failed")
+            yield from true_runner(a, b, window, mu_max, stats)
+
+        monkeypatch.setitem(search._MODE_RUNNERS, "hw", failing)
+        fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
+        kept.write_bytes(b'{"earlier":"run"}\n')
+        for path in (fresh, kept):
+            with pytest.raises(RuntimeError, match="runner failed"):
+                run_search(SearchSpec(ab_max=15, mode="hw",
+                                      output_path=str(path)))
+        assert not fresh.exists()
+        assert kept.read_bytes() == b'{"earlier":"run"}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+
+    def test_error_terminates_pool(self, monkeypatch, tmp_path):
+        # leaving by an exception must not wait for the queued tasks
+        calls = []
+
+        class RecordingPool(multiprocessing.pool.Pool):
+            def close(self):
+                calls.append("close")
+                super().close()
+
+            def terminate(self):
+                calls.append("terminate")
+                super().terminate()
+
+        def broken(*record):
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+        out = tmp_path / "hw.jsonl"
+        summary = run_search(SearchSpec(ab_max=40, mode="hw", parallelism=2,
+                                        output_path=str(out)))
+        assert summary.ok and calls == ["close"]
+        monkeypatch.setitem(search._LINE_WRITERS, "hw", broken)
+        with pytest.raises(RuntimeError, match="writer failed"):
+            run_search(SearchSpec(ab_max=40, mode="hw", parallelism=2,
+                                  output_path=str(out)))
+        assert calls == ["close", "terminate"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hw.jsonl"]
 
 
 def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:

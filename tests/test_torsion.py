@@ -145,7 +145,7 @@ class TestTorsionProfile:
         assert len(g.edges) == a.mu * b.mu
         for z in (lo - 1, hi + 1):
             assert fiber_graph(a, b, z).component_count <= 1, z
-            assert fiber_class_count(a, b, z) <= 1, z
+            assert fiber_class_count(a, b, z, z) in ([0], [1]), z
 
     def test_equality_compares_degrees(self):
         p = TorsionProfile((0, 5), {1: 1}, 1, 1)
@@ -189,23 +189,23 @@ class TestFiberClassCount:
     def test_five_node_fiber(self, example_511):
         a, b = example_511
         # fiber of 44: nodes 20, 21, 22, 33, 44 with 22 ~ 33 ~ 44
-        assert fiber_class_count(a, b, 44) == 3
+        assert fiber_class_count(a, b, 44, 44) == [3]
 
     def test_square_fiber(self):
         s = make_semigroup([4, 5, 6])
         a = make_ideal(s, [4, 5])
-        assert fiber_class_count(a, a, 16) == 2
+        assert fiber_class_count(a, a, 16, 16) == [2]
 
     def test_empty(self, example_511):
         a, b = example_511
-        assert fiber_class_count(a, b, 19) == 0
+        assert fiber_class_count(a, b, 19, 19) == [0]
 
     def test_matches_graph_on_examples(self, example_511):
         a, b = example_511
         lo, hi = scan_window(a, b)
         for z in range(lo - 2, hi + 3):
-            assert (fiber_class_count(a, b, z)
-                    == fiber_graph(a, b, z).component_count), z
+            assert (fiber_class_count(a, b, z, z)
+                    == [fiber_graph(a, b, z).component_count]), z
 
     def test_matches_graph_randomized(self):
         rng = random.Random(20240801)
@@ -220,20 +220,50 @@ class TestFiberClassCount:
             ia, ib = make_ideal(s, ga), make_ideal(s, gb)
             lo, hi = scan_window(ia, ib)
             for z in range(lo, hi + 1):
-                assert (fiber_class_count(ia, ib, z)
-                        == fiber_graph(ia, ib, z).component_count), (ga, gb, z)
+                assert (fiber_class_count(ia, ib, z, z)
+                        == [fiber_graph(ia, ib, z).component_count]), (ga, gb, z)
 
     def test_far_degrees_stay_small(self, example_511):
         a, b = example_511
         tracemalloc.start()
         try:
-            low = fiber_class_count(a, b, -10**7)
-            high = fiber_class_count(a, b, 10**7)
+            low = fiber_class_count(a, b, -10**7, -10**7)
+            high = fiber_class_count(a, b, 10**7, 10**7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (low, high) == (0, 1)
+        assert (low, high) == ([0], [1])
         assert peak < 64 * 1024, peak
+
+    @pytest.mark.parametrize("semi,ga,gb", [
+        ([1], [3], [5]),
+        ([3, 4, 5], [0, 1], [0, 2]),  # every minimal generator exceeds F
+        ([3, 4, 5], [0, 1, 2], [-1, 0]),
+        ([6, 7, 8, 9], [0, 1, 3], [0, 2, 5]),
+        ([6, 7, 8, 9], [-2, 3], [0, 10, 11]),
+    ])
+    def test_window_matches_naive(self, semi, ga, gb):
+        # from below the empty fibers to past the one-class bound
+        s = make_semigroup(semi)
+        a, b = make_ideal(s, ga), make_ideal(s, gb)
+        lo = a.min_gens[0] + b.min_gens[0] - 3
+        hi = a.set.threshold + b.set.threshold + 2 * s.frobenius + 5
+        assert fiber_class_count(a, b, lo, hi) == [
+            naive_fiber_classes(semi, list(a.min_gens), list(b.min_gens), z)
+            for z in range(lo, hi + 1)]
+
+    def test_window_length(self, example_511):
+        a, b = example_511
+        bound = (a.set.threshold + b.set.threshold
+                 + 2 * a.semigroup.frobenius + 3)
+        for lo, hi in [(0, 19), (19, 20), (40, 60), (bound - 2, bound + 2),
+                       (-5, bound + 5), (30, 30)]:
+            counts = fiber_class_count(a, b, lo, hi)
+            assert len(counts) == hi - lo + 1, (lo, hi)
+            assert counts == [c for z in range(lo, hi + 1)
+                              for c in fiber_class_count(a, b, z, z)], (lo, hi)
+        for lo, hi in [(5, 4), (50, 10), (bound + 3, bound)]:
+            assert fiber_class_count(a, b, lo, hi) == [], (lo, hi)
 
     @pytest.mark.parametrize("semi,ga,gb", [
         ([5, 11], [20, 21, 22], [0, 23, 24]),
@@ -249,9 +279,9 @@ class TestFiberClassCount:
         a, b = make_ideal(s, ga), make_ideal(s, gb)
         bound = a.set.threshold + b.set.threshold + 2 * s.frobenius + 3
         for z in range(bound - 3, bound + 1):
-            assert fiber_class_count(a, b, z) == naive_fiber_classes(
-                list(s.generators), list(a.min_gens), list(b.min_gens), z), z
-        assert fiber_class_count(a, b, bound) == 1
+            assert fiber_class_count(a, b, z, z) == [naive_fiber_classes(
+                list(s.generators), list(a.min_gens), list(b.min_gens), z)], z
+        assert fiber_class_count(a, b, bound, bound) == [1]
 
 
 class TestSplits:
