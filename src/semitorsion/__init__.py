@@ -17,9 +17,9 @@ from .search import (MODES, SearchSpec, SearchSummary, canonical_ideal_gens,
                      coprime_pairs, run_search)
 from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import (FiberGraph, TauEngine, TorsionProfile, fiber_class_count,
-                      fiber_component_counts, fiber_graph, graph_to_dot,
-                      scan_window, splits_torsion_free,
-                      torsion_bound_with_correction, torsion_profile)
+                      fiber_graph, graph_to_dot, scan_window,
+                      splits_torsion_free, torsion_bound_with_correction,
+                      torsion_profile)
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "ideal_shift",
     "minimal_generators_of_set",
     "fiber_graph",
-    "fiber_component_counts",
     "torsion_profile",
     "fiber_class_count",
     "splits_torsion_free",

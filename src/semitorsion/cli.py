@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
@@ -85,17 +84,7 @@ def cmd_hw(args) -> int:
     return 0 if report.all_positive else 2
 
 
-def _jobs_default() -> int | None:
-    """SEMITORSION_JOBS as an int (1 when unset); None when it does not parse."""
-    try:
-        return int(os.environ.get("SEMITORSION_JOBS", "1"))
-    except ValueError:
-        return None
-
-
 def cmd_search(args) -> int:
-    if args.jobs is None:
-        raise ValueError("SEMITORSION_JOBS is not an integer; pass --jobs N")
     spec = SearchSpec(
         ab_max=args.ab_max,
         mode=args.mode,
@@ -157,9 +146,8 @@ def build_parser() -> _Parser:
     p_search.add_argument("--gen-window", type=int, default=0,
                           help="ideal generator window width (0: a+b)")
     p_search.add_argument("--mu-max", type=int, default=3)
-    p_search.add_argument("--jobs", type=int,
-                          default=_jobs_default(),
-                          help="worker processes (default: $SEMITORSION_JOBS or 1)")
+    p_search.add_argument("--jobs", type=int, default=1,
+                          help="worker processes")
     p_search.add_argument("--out", default=None,
                           help="JSON-lines output path")
     p_search.add_argument("--seed", type=int, default=0)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 from .cofinite import CofiniteSet, reverse_bits
-from .ideals import (RelativeIdeal, _from_set, apery_set, ideal_sum,
-                     make_ideal)
+from .ideals import (RelativeIdeal, _check_over, _from_set, apery_set,
+                     ideal_sum, make_ideal)
 from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import TauEngine
 
@@ -61,13 +61,6 @@ def make_hypersurface(a: int, b: int) -> HypersurfaceSemigroup:
     return HypersurfaceSemigroup(a, b, make_semigroup((a, b)), pow(a, -1, b))
 
 
-def _check_over(h: HypersurfaceSemigroup, ideal: RelativeIdeal) -> None:
-    if ideal.semigroup is not h.base and ideal.semigroup != h.base:
-        raise ValueError(
-            f"ideal over {ideal.semigroup!r} does not live over <{h.a},{h.b}>"
-        )
-
-
 def lattice_normalize(h: HypersurfaceSemigroup, g: int,
                       x_lo: int = 0) -> LatticeClass:
     """The representative (x, y) of the class of value g with x in [x_lo, x_lo+b)."""
@@ -91,7 +84,7 @@ class OrderedGenerators:
 
 def ordered_generators(h: HypersurfaceSemigroup,
                        ideal: RelativeIdeal) -> OrderedGenerators:
-    _check_over(h, ideal)
+    _check_over(h.base, ideal)
     pairs = sorted((lattice_normalize(h, g) for g in ideal.min_gens),
                    key=lambda p: p.x)
     xs = [p.x for p in pairs]
@@ -131,7 +124,7 @@ def boundary_cycle(h: HypersurfaceSemigroup,
     coordinate stays inside the ideal, i.e. both value - a and
     value - b are members.
     """
-    _check_over(h, ideal)
+    _check_over(h.base, ideal)
     entries = []
     for g in sorted(apery_set(ideal, h.a + h.b)):
         p = lattice_normalize(h, g)
@@ -173,8 +166,7 @@ def dual_symmetric(s_or_h: HypersurfaceSemigroup | NumericalSemigroup,
     Valid exactly over symmetric semigroups.
     """
     s = s_or_h.base if isinstance(s_or_h, HypersurfaceSemigroup) else s_or_h
-    if ideal.semigroup != s:
-        raise ValueError("ideal does not live over the given semigroup")
+    _check_over(s, ideal)
     if not s.is_symmetric():
         raise ValueError(f"{s!r} is not symmetric")
     # z in [F + 1 - threshold, F + 1 - min) maps to F - z in the ideal's
@@ -203,8 +195,7 @@ def check_half_mu_bound(h: HypersurfaceSemigroup, a: RelativeIdeal,
     Only defined for non-principal ideals; for principal ones the
     torsion total is zero and the bounds do not apply.
     """
-    _check_over(h, a)
-    _check_over(h, b)
+    _check_over(h.base, a, b)
     if a.is_principal or b.is_principal:
         raise ValueError("bounds require non-principal ideals")
     profile = TauEngine(h.base).profile(a.min_gens, b.min_gens)

@@ -93,23 +93,23 @@ def _from_set(s: NumericalSemigroup, cset: CofiniteSet) -> RelativeIdeal:
     return RelativeIdeal(s, minimal_generators_of_set(s, cset), cset)
 
 
-def _check_same(a: RelativeIdeal, b: RelativeIdeal) -> None:
-    if a.semigroup is not b.semigroup and a.semigroup != b.semigroup:
-        raise SemigroupMismatchError(
-            f"ideals over different semigroups: "
-            f"{a.semigroup!r} vs {b.semigroup!r}"
-        )
+def _check_over(s: NumericalSemigroup, *ideals: RelativeIdeal) -> None:
+    """Raise SemigroupMismatchError unless every ideal lives over `s`."""
+    for ideal in ideals:
+        if ideal.semigroup is not s and ideal.semigroup != s:
+            raise SemigroupMismatchError(
+                f"ideal over {ideal.semigroup!r} does not live over {s!r}")
 
 
 def ideal_sum(a: RelativeIdeal, b: RelativeIdeal) -> RelativeIdeal:
     """The ideal generated by all pairwise sums of generators."""
-    _check_same(a, b)
+    _check_over(a.semigroup, b)
     return make_ideal(a.semigroup,
                       {x + y for x in a.min_gens for y in b.min_gens})
 
 
 def ideal_intersect(a: RelativeIdeal, b: RelativeIdeal) -> RelativeIdeal:
-    _check_same(a, b)
+    _check_over(a.semigroup, b)
     return _from_set(a.semigroup, a.set.intersect(b.set))
 
 

@@ -8,10 +8,9 @@ invariant, so anchoring the least generator at 0 loses nothing.
 The torsion totals for the pair sweeps come from `torsion.TauEngine`:
 the fiber edges of a whole batch of ideals, over every degree, are
 packed into one Python int per generator pair, and the component
-counter `_component_reps` runs on all of them at once. The test suite
-checks it against the flood fill of `torsion_profile`; `oracle-compare`
-checks the counter, without the engine, against `fiber_class_count`,
-each run once per ideal pair over its scan window.
+counter `_component_reps` runs on all of them at once. `oracle-compare`
+checks the engine's component counts of each sampled pair, over its
+scan window, against the flood fill of `fiber_class_count`.
 The half-mu sweep runs it once per unordered pair, since tau and the
 support are symmetric. A record is a tuple: bound_ok, then the fields in
 sorted key order. One fixed-schema f-string per mode writes it as the
@@ -32,10 +31,9 @@ from typing import Iterable, Iterator
 
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
-from .ideals import ideal_dual, make_ideal
+from .ideals import RelativeIdeal, ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
-from .torsion import (TauEngine, fiber_class_count, fiber_component_counts,
-                      scan_window)
+from .torsion import TauEngine, fiber_class_count, scan_window
 
 __all__ = [
     "SearchSpec",
@@ -228,27 +226,26 @@ def _hw_records(a: int, b: int, window: int, mu_max: int,
 
 
 def _oracle_compare_records(spec: SearchSpec) -> Iterator[tuple]:
-    """Seeded random tuples; on each, compare the fiber graph component
-    counts of the scan window (one counter call, no engine) with the
-    flood fill of every fiber in it."""
+    """Seeded random tuples; on each, compare the engine's fiber graph
+    component counts over the scan window with the flood fill of every
+    fiber in it."""
     rng = random.Random(spec.seed)
     pairs = coprime_pairs(spec.ab_max)
-    ideal_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    cache: dict[tuple[int, int], tuple[TauEngine, list[RelativeIdeal]]] = {}
     for _ in range(spec.samples):
-        a, b = rng.choice(pairs)
-        s = make_semigroup((a, b))
-        key = (a, b)
-        if key not in ideal_cache:
-            ideal_cache[key] = canonical_ideal_gens(
-                s, spec.window_for(a, b), spec.mu_max)
-        gens = ideal_cache[key]
-        ia = make_ideal(s, rng.choice(gens))
-        ib = make_ideal(s, rng.choice(gens))
+        key = rng.choice(pairs)
+        if key not in cache:
+            s = make_semigroup(key)
+            cache[key] = (TauEngine(s), [
+                make_ideal(s, g) for g in canonical_ideal_gens(
+                    s, spec.window_for(*key), spec.mu_max)])
+        engine, ideals = cache[key]
+        ia, ib = rng.choice(ideals), rng.choice(ideals)
         lo, hi = scan_window(ia, ib)
         # list equality: a count list short of the window disagrees
-        agree = (fiber_component_counts(ia, ib)
+        agree = (engine.component_counts(ia.min_gens, ib.min_gens)
                  == fiber_class_count(ia, ib, lo, hi))
-        yield (agree, a, b, hi - lo + 1, _gens_key(ia.min_gens),
+        yield (agree, *key, hi - lo + 1, _gens_key(ia.min_gens),
                _gens_key(ib.min_gens))
 
 

@@ -6,26 +6,25 @@ bipartite graph on the minimal generators of A and B. The torsion
 number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
-One engine computes them: `TauEngine` packs the fiber edges of every
-degree, for a batch of ideals, into one Python int per generator pair
-and runs the bit-parallel component counter `_component_reps` on all of
-them at once. `_fiber_edges` is the definitional edge rule, one degree
-per bit: `fiber_component_counts` counts a whole scan window on it with
-the same counter, and `fiber_graph` reads one degree of it. The
-independent reference uses neither the edge ints nor the counter: a bit
-flood fill of the fibers by generator steps, `fiber_class_count` over
-a window of degrees and `torsion_profile` over the whole scan window.
+One engine computes them: `TauEngine._reps` packs the fiber edges of
+every degree, for a batch of ideals, into one Python int per generator
+pair and runs the bit-parallel component counter `_component_reps` on
+all of them at once. Torsion totals, per-degree profiles and the
+component counts of a scan window all come from it; `fiber_graph`
+states the edge rule for one degree, for display. The independent
+reference uses neither the edge ints nor the counter: a bit flood fill
+of the fibers by generator steps, `fiber_class_count` over a window of
+degrees and `torsion_profile` over the whole scan window.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import and_, or_
 
 from .cofinite import CofiniteSet, bit_positions, reverse_bits
-from .ideals import (RelativeIdeal, _check_same, ideal_intersect, ideal_sum,
+from .ideals import (RelativeIdeal, _check_over, ideal_intersect, ideal_sum,
                      make_ideal)
 from .semigroup import NumericalSemigroup
 
@@ -34,7 +33,6 @@ __all__ = [
     "TorsionProfile",
     "TauEngine",
     "fiber_graph",
-    "fiber_component_counts",
     "torsion_profile",
     "fiber_class_count",
     "splits_torsion_free",
@@ -85,18 +83,18 @@ class TauEngine:
         self.s = s
         self.f = s.frobenius
 
-    def _excess(self, ga: tuple[int, ...],
-                gbs: list[tuple[int, ...]]) -> tuple[int, int, list[int]]:
-        """(stride, lane mask, excess ints) of (ga, gb) for gbs of one length.
+    def _reps(self, ga: tuple[int, ...],
+              gbs: list[tuple[int, ...]]) -> tuple[int, int, list[int]]:
+        """(stride, lane mask, reps) of (ga, gb) for gbs of one length.
 
         A shared z-window starting at lo = ga[0] + min gb[0] covers the
         whole batch; the extra fibers it adds for pairs with smaller
         spread carry no torsion. Each gb owns one lane of the edge ints,
         bit w of lane k standing for degree lo + w, and the lanes are
         spaced so that shifting by a generator of ga never carries one
-        into the next. Excess int i has the bits where left vertex i is
-        the least of a component past the first one, so tau at a degree
-        is the number of excess ints with its bit set.
+        into the next. Rep int i has the bits where left vertex i is the
+        least of a component, so the component count at a degree is the
+        number of rep ints with its bit set.
         """
         lo = ga[0] + min(gb[0] for gb in gbs)
         width = self.f + ga[-1] + max(gb[-1] for gb in gbs) - lo + 1
@@ -113,30 +111,39 @@ class TauEngine:
                 rows[j] |= ((member << d) & lane) << (k * stride)
         # `lane` repeated at every stride: the repunit has bit k*stride set
         keep = lane * (((1 << (len(gbs) * stride)) - 1) // ((1 << stride) - 1))
-        reps = _component_reps([[(row << (g - ga[0])) & keep for row in rows]
-                                for g in ga])
-        return stride, lane, list(map(and_, reps[1:], accumulate(reps, or_)))
+        return stride, lane, _component_reps(
+            [[(row << (g - ga[0])) & keep for row in rows] for g in ga])
 
     def tau_support_batch(self, ga: tuple[int, ...],
                           gbs: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
         """(tau totals, support sizes) of (ga, gb) per gb; sorted minimal tuples."""
-        stride, lane, excess = self._excess(ga, gbs)
+        stride, lane, reps = self._reps(ga, gbs)
         tau = [0] * len(gbs)
         multi = 0  # the degrees with more than one component
-        for e in excess:
+        # a rep past the first component at its degree adds one to tau
+        for e in map(and_, reps[1:], accumulate(reps, or_)):
             _add_lane_counts(tau, e, stride, lane)
             multi |= e
         support = [0] * len(gbs)
         _add_lane_counts(support, multi, stride, lane)
         return tau, support
 
+    def component_counts(self, ga: tuple[int, ...],
+                         gb: tuple[int, ...]) -> list[int]:
+        """Fiber graph component counts of (ga, gb) over its scan window."""
+        _, lane, reps = self._reps(ga, [gb])
+        counts = [0] * lane.bit_length()
+        for rep in reps:
+            for w in bit_positions(rep):
+                counts[w] += 1
+        return counts
+
     def profile(self, ga: tuple[int, ...],
                 gb: tuple[int, ...]) -> TorsionProfile:
         """Per-degree torsion numbers of (ga, gb) over its scan window."""
         lo, hi = ga[0] + gb[0], self.f + ga[-1] + gb[-1]
-        excess = self._excess(ga, [gb])[2]
-        counts = Counter(z for e in excess for z in bit_positions(e, lo))
-        by_z = dict(sorted(counts.items()))
+        by_z = {z: count - 1 for z, count in
+                enumerate(self.component_counts(ga, gb), lo) if count > 1}
         return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
 
 
@@ -163,16 +170,10 @@ class FiberGraph:
     component_count: int
 
 
-def _fiber_edges(a: RelativeIdeal, b: RelativeIdeal, lo: int,
-                 hi: int) -> list[list[int]]:
-    """Bit w of (i, j): lo + w - a_i - b_j is in S, the edge over lo + w."""
-    return [[a.semigroup.window(lo - x - y, hi + 1 - x - y)
-             for y in b.min_gens] for x in a.min_gens]
-
-
 def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
-    _check_same(a, b)
-    grid = _fiber_edges(a, b, z, z)
+    _check_over(a.semigroup, b)
+    grid = [[int(z - x - y in a.semigroup) for y in b.min_gens]
+            for x in a.min_gens]
     edges = frozenset((i, j) for i, row in enumerate(grid, 1)
                       for j, e in enumerate(row, 1) if e)
     # B is the union of the b_j + S, so z - a_i is in B exactly when row
@@ -180,17 +181,6 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     lefts = tuple(sorted({i for i, _ in edges}))
     rights = tuple(sorted({j for _, j in edges}))
     return FiberGraph(z, lefts, rights, edges, sum(_component_reps(grid)))
-
-
-def fiber_component_counts(a: RelativeIdeal, b: RelativeIdeal) -> list[int]:
-    """Fiber graph component counts over `scan_window`, one counter call."""
-    _check_same(a, b)
-    lo, hi = scan_window(a, b)
-    counts = [0] * (hi - lo + 1)
-    for rep in _component_reps(_fiber_edges(a, b, lo, hi)):
-        for w in bit_positions(rep):
-            counts[w] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -247,7 +237,7 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
     [A.threshold, z - B.threshold] are nodes, each more than F from one
     end of it, and the ends are more than F apart.
     """
-    _check_same(a, b)
+    _check_over(a.semigroup, b)
     f, gens = a.semigroup.frobenius, a.semigroup.generators
     base = a.set.lo + b.set.lo
     cut = a.set.threshold + b.set.threshold + 2 * f + 3
@@ -285,7 +275,7 @@ def splits_torsion_free(a: RelativeIdeal, b: RelativeIdeal,
     tests (P meet Q) + B == (P + B) meet (Q + B). Returns (True, None)
     when all splits pass, else (False, first failing bipartition).
     """
-    _check_same(a, b)
+    _check_over(a.semigroup, b)
     n = a.mu
     if n > cap:
         raise ValueError(f"{n} generators exceeds split cap {cap}")
@@ -311,7 +301,7 @@ def torsion_bound_with_correction(a: RelativeIdeal, b: RelativeIdeal,
     `c` must contain the sum ideal's set (it plays the role of a product
     set that may be strictly larger than the sum of the summand sets).
     """
-    _check_same(a, b)
+    _check_over(a.semigroup, b)
     total = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens).total
     sum_set = ideal_sum(a, b).set
     if not sum_set.issubset(c):

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from semitorsion import (LatticeClass, boundary_cycle, check_half_mu_bound,
-                         dual_formula, dual_symmetric, ideal_dual, make_ideal,
-                         make_hypersurface, make_semigroup, lattice_normalize,
+from semitorsion import (LatticeClass, SemigroupMismatchError, boundary_cycle,
+                         check_half_mu_bound, dual_formula, dual_symmetric,
+                         ideal_dual, make_ideal, make_hypersurface,
+                         make_semigroup, lattice_normalize,
                          ordered_generators, torsion_generator_pairs,
                          torsion_profile)
 
@@ -50,8 +51,15 @@ class TestConstruction:
 
     def test_rejects_foreign_ideal(self, h57):
         foreign = make_ideal(make_semigroup([2, 3]), [0, 1])
-        with pytest.raises(ValueError):
-            ordered_generators(h57, foreign)
+        native = make_ideal(h57.base, [0, 3])
+        for call in (lambda: ordered_generators(h57, foreign),
+                     lambda: boundary_cycle(h57, foreign),
+                     lambda: dual_formula(h57, foreign),
+                     lambda: check_half_mu_bound(h57, native, foreign),
+                     lambda: check_half_mu_bound(h57, foreign, native),
+                     lambda: dual_symmetric(h57, foreign)):
+            with pytest.raises(SemigroupMismatchError):
+                call()
 
 
 class TestLatticeNormalize:

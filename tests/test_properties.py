@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import naive_fiber_classes
 from semitorsion import (TauEngine, boundary_cycle, check_half_mu_bound,
                          dual_formula, dual_symmetric, fiber_class_count,
-                         fiber_component_counts, fiber_graph, ideal_dual,
-                         ideal_shift, make_hypersurface, make_ideal,
+                         fiber_graph, ideal_dual, ideal_shift,
+                         make_hypersurface, make_ideal,
                          make_semigroup, ordered_generators, scan_window,
                          splits_torsion_free, torsion_generator_pairs,
                          torsion_profile)
@@ -124,10 +124,11 @@ def test_fiber_routes_match_brute_force(pair):
     a, b = pair
     semi_gens = list(a.semigroup.generators)
     lo, hi = scan_window(a, b)
-    profile = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens)
+    engine = TauEngine(a.semigroup)
+    profile = engine.profile(a.min_gens, b.min_gens)
     # one counter call over the window: vertices that meet only through
     # a third close across bits of the same ints
-    counts = fiber_component_counts(a, b)
+    counts = engine.component_counts(a.min_gens, b.min_gens)
     assert len(counts) == hi - lo + 1
     for z in range(lo - 1, hi + 2):
         expected = naive_fiber_classes(semi_gens, list(a.min_gens),

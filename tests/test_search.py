@@ -143,18 +143,26 @@ class TestRunSearch:
         assert summary.violation_count == 25 and not summary.ok
         assert summary.violations == records
 
-    def test_oracle_never_enters_engine(self, monkeypatch):
-        # oracle-compare checks the counter without the engine's lanes
-        def broken(*args):
-            raise RuntimeError("engine code reached")
+    def test_oracle_catches_broken_engine(self, monkeypatch, tmp_path):
+        # oracle-compare checks the engine's own lanes: reps that lose
+        # each lane's top degree must be flagged
+        true_reps = TauEngine._reps
 
-        monkeypatch.setattr(TauEngine, "_excess", broken)
-        monkeypatch.setattr(TauEngine, "tau_support_batch", broken)
+        def top_dropped(self, ga, gbs):
+            # component_counts asks for one lane, so `lane`'s top bit is it
+            stride, lane, reps = true_reps(self, ga, gbs)
+            return stride, lane, [rep & ~((lane + 1) >> 1) for rep in reps]
+
+        monkeypatch.setattr(TauEngine, "_reps", top_dropped)
+        out = tmp_path / "oracle.jsonl"
         summary = run_search(SearchSpec(ab_max=20, mode="oracle-compare",
-                                        mu_max=3, samples=25, seed=11))
-        assert summary.ok and summary.records == 25
-        with pytest.raises(RuntimeError):
-            TauEngine(make_semigroup([5, 7])).profile((0, 1), (0, 2))
+                                        mu_max=3, samples=25, seed=11,
+                                        output_path=str(out)))
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        flagged = [r for r in records if not r["bound_ok"]]
+        assert len(records) == summary.records == 25
+        assert flagged and summary.violation_count == len(flagged)
+        assert summary.violations == flagged and not summary.ok
 
     def test_deterministic_output(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

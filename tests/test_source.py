@@ -21,6 +21,39 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def _mentions(node, scope=""):
+    """(enclosing def, identifier) for every name, attribute, import and
+    string constant under `node`; defined names come with their own def."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child.name
+            yield from _mentions(child, inner)
+            continue
+        for name in (getattr(child, "id", None), getattr(child, "attr", None),
+                     getattr(child, "name", None),
+                     getattr(child, "asname", None),
+                     getattr(child, "value", None)):
+            if isinstance(name, str):
+                yield scope, name
+        yield from _mentions(child, scope)
+
+
+def test_one_fiber_edge_builder():
+    # the engine's lanes are the only packed fiber edges; fiber_graph
+    # feeds the counter one degree for display
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, name in _mentions(ast.parse(path.read_text(), str(path))):
+            assert name not in ("_fiber_edges", "fiber_component_counts"), (
+                path.name, scope)
+            if name == "_component_reps":
+                users.add((path.name, scope))
+    assert users == {("torsion.py", "_component_reps"),
+                     ("torsion.py", "TauEngine._reps"),
+                     ("torsion.py", "fiber_graph")}, users
+
+
 def test_bench_hooks_bind():
     # bench/spans.py wraps the traced layers by name; a refactor that
     # renames or unbinds one must fail here, not only in the benchmark

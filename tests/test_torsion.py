@@ -7,8 +7,7 @@ import pytest
 import semitorsion.torsion as torsion
 from conftest import naive_fiber_classes
 from semitorsion import (CofiniteSet, SemigroupMismatchError, TauEngine,
-                         TorsionProfile, fiber_class_count,
-                         fiber_component_counts, fiber_graph,
+                         TorsionProfile, fiber_class_count, fiber_graph,
                          graph_to_dot, ideal_intersect, ideal_shift, ideal_sum,
                          make_ideal, make_semigroup, scan_window,
                          splits_torsion_free, torsion_bound_with_correction,
@@ -88,7 +87,8 @@ class TestFiberComponentCounts:
     def test_matches_graph_per_degree(self, example_511):
         a, b = example_511
         lo, hi = scan_window(a, b)
-        counts = fiber_component_counts(a, b)
+        counts = TauEngine(a.semigroup).component_counts(a.min_gens,
+                                                         b.min_gens)
         assert counts == [fiber_graph(a, b, z).component_count
                           for z in range(lo, hi + 1)]
         # degrees 44, 45 and 55 of the worked example
@@ -98,13 +98,7 @@ class TestFiberComponentCounts:
         s = make_semigroup([1])
         a, b = make_ideal(s, [3]), make_ideal(s, [5])
         assert scan_window(a, b) == (8, 7)
-        assert fiber_component_counts(a, b) == []
-
-    def test_mismatch(self):
-        a = make_ideal(make_semigroup([2, 3]), [0])
-        b = make_ideal(make_semigroup([2, 5]), [0])
-        with pytest.raises(SemigroupMismatchError):
-            fiber_component_counts(a, b)
+        assert TauEngine(s).component_counts(a.min_gens, b.min_gens) == []
 
 
 class TestTauAt:
