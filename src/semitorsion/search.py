@@ -11,10 +11,13 @@ packed into one Python int per generator pair, and the component
 counter `_component_reps` runs on all of them at once. `oracle-compare`
 checks the engine's component counts of each sampled pair, over its
 scan window, against the flood fill of `fiber_class_count`.
-The half-mu sweep runs it once per unordered pair, since tau and the
-support are symmetric. A record is a tuple: bound_ok, then the fields in
-sorted key order. One fixed-schema f-string per mode writes it as the
-line `json.dumps(record, sort_keys=True, separators=(",", ":"))` gives.
+The half-mu sweep packs a semigroup's ideals once, in mu order, and
+calls the engine once per ideal, on it and every ideal after it, since
+tau and the support are symmetric. Its rows are text from fixed
+fragments, one block per ideal A. In the other modes a record is a
+tuple: bound_ok, then the fields in sorted key order, and one
+fixed-schema f-string per mode writes it. Every line is the one
+`json.dumps(record, sort_keys=True, separators=(",", ":"))` gives.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import math
 import multiprocessing
 import os
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import add
-from typing import Iterable, Iterator
+from itertools import islice
+from operator import add, sub
+from typing import Callable, Iterable, Iterator
 
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
@@ -96,10 +99,14 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.ab_max < 6 or self.mu_max < 1 or self.parallelism < 1:
-            raise ValueError("caps must be positive (ab_max >= 6)")
-        if self.gen_window < 0 or self.samples < 1:
-            raise ValueError("caps must be positive")
+        for name, value, least in (
+                ("ab_max", self.ab_max, 6), ("mu_max", self.mu_max, 1),
+                ("parallelism (--jobs)", self.parallelism, 1),
+                ("gen_window", self.gen_window, 0),
+                ("samples", self.samples, 1)):
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {value}")
 
     def window_for(self, a: int, b: int) -> int:
         return self.gen_window if self.gen_window else a + b
@@ -134,13 +141,6 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _half_mu_line(bound_ok: bool, a: int, b: int, gens_a: str, gens_b: str,
-                  mu_a: int, mu_b: int, support: int, tau: int) -> str:
-    return (f'{{"a":{a},"b":{b},"bound_ok":{_flag(bound_ok)},'
-            f'"gens_A":"{gens_a}","gens_B":"{gens_b}","mu_A":{mu_a},'
-            f'"mu_B":{mu_b},"support":{support},"tau":{tau}}}\n')
-
-
 def _dual_line(bound_ok: bool, a: int, b: int, bidual_ok: bool, dual: str,
                gens_a: str, routes_agree: bool) -> str:
     return (f'{{"a":{a},"b":{b},"bidual_ok":{_flag(bidual_ok)},'
@@ -163,40 +163,49 @@ def _oracle_line(bound_ok: bool, a: int, b: int, fibers: int, gens_a: str,
 
 
 def _half_mu_records(a: int, b: int, window: int, mu_max: int,
-                     stats: dict) -> Iterator[tuple]:
-    """Every ordered pair of non-principal ideals. Row i runs the engine
-    on the ideals j >= i of each mu group; rows before it filled in j < i."""
+                     stats: dict) -> Iterator[tuple[str, int, list[str]]]:
+    """Every ordered pair of non-principal ideals, one text block per ideal A.
+
+    Row p of the tables takes its entries before p from earlier engine
+    calls. Rows go out in canonical order of A, by mu of B within a row.
+    """
     s = make_semigroup((a, b))
     engine = TauEngine(s)
-    ideals = [g for g in canonical_ideal_gens(s, window, mu_max)
-              if len(g) >= 2]
-    keys = [_gens_key(g) for g in ideals]
+    canonical = [g for g in canonical_ideal_gens(s, window, mu_max)
+                 if len(g) >= 2]
+    if not canonical:
+        return
+    ideals = sorted(canonical, key=len)
     mus = [len(g) for g in ideals]
-    groups = [(mu, [i for i, m in enumerate(mus) if m == mu])
-              for mu in sorted(set(mus))]
-    order = [j for _, group in groups for j in group]
-    table = [[(0, 0)] * len(ideals) for _ in ideals]  # (tau, support)
-    for i, ga in enumerate(ideals):
-        mu_a = mus[i]
-        for mb, group in groups:
-            later = group[bisect_left(group, i):]
-            if not later:
-                continue
-            ts, cs = engine.tau_support_batch(ga, [ideals[j] for j in later])
-            for j, t, c in zip(later, ts, cs):
-                table[i][j] = table[j][i] = (t, c)
-            mm = mu_a * mb
-            _fold_stats(stats, {
-                "min_two_tau_minus_mu_mu": 2 * min(ts) - mm,
-                "min_tau_plus_support_minus_mu_mu":
-                    min(map(add, ts, cs)) - mm,
-                "max_tau": max(ts),
-            })
-        key_a, row = keys[i], table[i]
-        for j in order:
-            (tau, support), mm = row[j], mu_a * mus[j]
-            yield (tau + support >= mm and 2 * tau >= mm, a, b, key_a,
-                   keys[j], mu_a, mus[j], support, tau)
+    # every canonical tuple starts at 0, so its last entry is its spread
+    lanes = engine.pack(ideals, max(g[-1] for g in ideals))
+    taus: list[list[int]] = []  # the rows of the tau and support tables
+    supports: list[list[int]] = []
+    for p, ga in enumerate(ideals):
+        ts, cs = engine.tau_support_batch(ga, lanes[p:])
+        taus.append([row[p] for row in taus] + ts)
+        supports.append([row[p] for row in supports] + cs)
+        mms = [mus[p] * mb for mb in mus[p:]]
+        _fold_stats(stats, {
+            "min_two_tau_minus_mu_mu": min(map(sub, map(add, ts, ts), mms)),
+            "min_tau_plus_support_minus_mu_mu":
+                min(map(sub, map(add, ts, cs), mms)),
+            "max_tau": max(ts),
+        })
+    keys = [_gens_key(g) for g in ideals]
+    tails = {mu_a: [f'"gens_B":"{key}","mu_A":{mu_a},"mu_B":{mb},"support":'
+                    for key, mb in zip(keys, mus)] for mu_a in set(mus)}
+    position = {g: p for p, g in enumerate(ideals)}
+    for ga in canonical:
+        p, mu_a = position[ga], len(ga)
+        heads = tuple(f'{{"a":{a},"b":{b},"bound_ok":{flag},'
+                      f'"gens_A":"{keys[p]}",' for flag in ("false", "true"))
+        oks = [t + c >= mu_a * mb and 2 * t >= mu_a * mb
+               for t, c, mb in zip(taus[p], supports[p], mus)]
+        lines = [f'{heads[ok]}{tail}{c},"tau":{t}}}\n' for ok, tail, t, c
+                 in zip(oks, tails[mu_a], taus[p], supports[p])]
+        yield ("".join(lines), len(lines),
+               [] if all(oks) else [x for x, ok in zip(lines, oks) if not ok])
 
 
 def _dual_records(a: int, b: int, window: int, mu_max: int,
@@ -255,20 +264,36 @@ _MODE_RUNNERS = {
     "hw": _hw_records,
 }
 
+# Modes whose runners yield record tuples, one line writer each
 _LINE_WRITERS = {
-    "half-mu-bound": _half_mu_line,
     "dual-consistency": _dual_line,
     "hw": _hw_line,
     "oracle-compare": _oracle_line,
 }
 
 
+def _line_blocks(line: Callable[..., str],
+                 records: Iterable[tuple]) -> Iterator[tuple]:
+    """Text blocks of record tuples, each written by `line`; a block holds
+    at most 100, so a long oracle-compare run still streams."""
+    records = iter(records)
+    while chunk := list(islice(records, 100)):
+        lines = [line(*record) for record in chunk]
+        yield "".join(lines), len(lines), [
+            text for text, record in zip(lines, chunk) if not record[0]]
+
+
 def _run_task(task: tuple, lazy: bool = False) -> tuple[Iterable, dict]:
-    """A task's records (a list, or made lazily) and the stats they fill."""
+    """A task's text blocks (a list, or made lazily) and the stats they fill.
+
+    A block is (text, record count, the lines whose bound_ok is false).
+    """
     mode, a, b, window, mu_max = task
     stats: dict = {}
-    records = _MODE_RUNNERS[mode](a, b, window, mu_max, stats)
-    return (records if lazy else list(records)), stats
+    blocks = _MODE_RUNNERS[mode](a, b, window, mu_max, stats)
+    if mode in _LINE_WRITERS:
+        blocks = _line_blocks(_LINE_WRITERS[mode], blocks)
+    return (blocks if lazy else list(blocks)), stats
 
 
 def run_search(spec: SearchSpec) -> SearchSummary:
@@ -280,15 +305,18 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     error removes it and terminates the pool without draining it.
     """
     summary = SearchSummary(mode=spec.mode)
-    line = _LINE_WRITERS[spec.mode]
     part = f"{spec.output_path}.part"
-    out = open(part, "w") if spec.output_path else None
+    try:
+        out = open(part, "w") if spec.output_path else None
+    except OSError as exc:  # name the path asked for, not the part file
+        raise OSError(exc.errno, exc.strerror, spec.output_path) from None
     pool = None
     done = False
     try:
         if spec.mode == "oracle-compare":
             chunks: Iterable[tuple[Iterable[tuple], dict]] = [
-                (_oracle_compare_records(spec), {})]
+                (_line_blocks(_LINE_WRITERS[spec.mode],
+                              _oracle_compare_records(spec)), {})]
         else:
             tasks = [(spec.mode, a, b, spec.window_for(a, b), spec.mu_max)
                      for a, b in coprime_pairs(spec.ab_max)]
@@ -297,15 +325,14 @@ def run_search(spec: SearchSpec) -> SearchSummary:
                 chunks = pool.imap(_run_task, tasks)
             else:
                 chunks = (_run_task(t, lazy=True) for t in tasks)
-        for records, stats in chunks:
-            for record in records:
-                summary.records += 1
-                if not record[0]:
-                    summary.violation_count += 1
-                    if len(summary.violations) < 100:
-                        summary.violations.append(json.loads(line(*record)))
+        for blocks, stats in chunks:
+            for text, count, failed in blocks:
+                summary.records += count
+                summary.violation_count += len(failed)
+                for failure in failed[:100 - len(summary.violations)]:
+                    summary.violations.append(json.loads(failure))
                 if out is not None:
-                    out.write(line(*record))
+                    out.write(text)
             _fold_stats(summary.stats, stats)
         done = True
     finally:

@@ -6,22 +6,29 @@ bipartite graph on the minimal generators of A and B. The torsion
 number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
-One engine computes them: `TauEngine._reps` packs the fiber edges of
-every degree, for a batch of ideals, into one Python int per generator
-pair and runs the bit-parallel component counter `_component_reps` on
-all of them at once. Torsion totals, per-degree profiles and the
-component counts of a scan window all come from it; `fiber_graph`
-states the edge rule for one degree, for display. The independent
-reference uses neither the edge ints nor the counter: a bit flood fill
-of the fibers by generator steps, `fiber_class_count` over a window of
-degrees and `torsion_profile` over the whole scan window.
+One engine computes them. `TauEngine.pack` lays a batch of right-hand
+tuples out as byte-aligned lanes over every degree, and `_reps` shifts
+them by each left-hand generator into one int per generator pair and
+runs the bit-parallel component counter `_component_reps` on all of
+them at once. Slices share a packing, so a campaign packs a semigroup's
+ideals once and calls the engine once per ideal. A short tuple repeats
+its last generator, which is exact: the copied right vertex has the
+neighbours of the original. Torsion totals, per-degree profiles and
+the component counts of a scan window all come from the engine;
+`fiber_graph` states the edge rule for one degree, for display. The
+independent reference uses neither the edge ints nor the counter: a
+bit flood fill of the fibers by generator steps, `fiber_class_count`
+over a window of degrees and `torsion_profile` over the whole scan
+window.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import and_, or_
+from operator import add, and_, or_
+from struct import iter_unpack
 
 from .cofinite import CofiniteSet, bit_positions, reverse_bits
 from .ideals import (RelativeIdeal, _check_over, ideal_intersect, ideal_sum,
@@ -76,6 +83,24 @@ def _component_reps(edges: list[list[int]]) -> list[int]:
     return reps
 
 
+class Lanes(tuple):
+    """Generator tuples with their lanes, from `TauEngine.pack`.
+
+    A contiguous slice shares the packing: its rows are shifted down past
+    the lanes it drops, and the engine masks off lanes past its end.
+    """
+
+    def __getitem__(self, key):
+        part = tuple.__getitem__(self, key)
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            return part  # a plain tuple; the engine packs it afresh
+        out = Lanes(part)
+        vars(out).update(vars(self))
+        shift = key.indices(len(self))[0] * self.stride
+        out.rows = [row >> shift for row in self.rows]
+        return out
+
+
 class TauEngine:
     """Torsion numbers for generator tuples over one semigroup, on bit lanes."""
 
@@ -83,50 +108,65 @@ class TauEngine:
         self.s = s
         self.f = s.frobenius
 
-    def _reps(self, ga: tuple[int, ...],
-              gbs: list[tuple[int, ...]]) -> tuple[int, int, list[int]]:
-        """(stride, lane mask, reps) of (ga, gb) for gbs of one length.
+    def pack(self, gbs: Sequence[tuple[int, ...]], spread: int) -> Lanes:
+        """The tuples gbs as lanes, for any ga with ga[-1] - ga[0] <= spread.
 
-        A shared z-window starting at lo = ga[0] + min gb[0] covers the
-        whole batch; the extra fibers it adds for pairs with smaller
-        spread carry no torsion. Each gb owns one lane of the edge ints,
-        bit w of lane k standing for degree lo + w, and the lanes are
-        spaced so that shifting by a generator of ga never carries one
-        into the next. Rep int i has the bits where left vertex i is the
-        least of a component, so the component count at a degree is the
-        number of rep ints with its bit set.
+        Bit w of a lane stands for degree ga[0] + min gb[0] + w, up to the
+        top of every pair's scan window; the extra fibers of a pair with
+        a smaller spread carry no torsion. A lane's stride, a whole number
+        of bytes, leaves room for the shift by ga.
         """
-        lo = ga[0] + min(gb[0] for gb in gbs)
-        width = self.f + ga[-1] + max(gb[-1] for gb in gbs) - lo + 1
-        if width <= 0:
-            return 0, 0, []
-        stride = width + ga[-1] - ga[0]
-        lane = (1 << width) - 1
-        member = self.s.window(0, width)
-        rows = [0] * len(gbs[0])
-        for k, gb in enumerate(gbs):
-            for j, g in enumerate(gb):
-                # bit w of row j: lo + w - ga[0] - g is a semigroup member
-                d = ga[0] + g - lo
-                rows[j] |= ((member << d) & lane) << (k * stride)
-        # `lane` repeated at every stride: the repunit has bit k*stride set
-        keep = lane * (((1 << (len(gbs) * stride)) - 1) // ((1 << stride) - 1))
-        return stride, lane, _component_reps(
-            [[(row << (g - ga[0])) & keep for row in rows] for g in ga])
+        base = min(gb[0] for gb in gbs)
+        width = self.f + spread + max(gb[-1] for gb in gbs) - base + 1
+        size = (width + spread + 8) // 8  # bytes per lane
+        member, lane = self.s.window(0, width), (1 << width) - 1
+        chunks: dict[int, bytes] = {}
+        rows = []
+        for j in range(max(map(len, gbs))):
+            column = []
+            for gb in gbs:
+                g = gb[j] if j < len(gb) else gb[-1]  # pad with a copy
+                if g not in chunks:
+                    # bit w of the lane of g: base + w - g is a member
+                    chunks[g] = ((member << (g - base)) & lane).to_bytes(
+                        size, "little")
+                column.append(chunks[g])
+            rows.append(int.from_bytes(b"".join(column), "little"))
+        out = Lanes(gbs)
+        vars(out).update(semigroup=self.s, spread=spread, stride=8 * size,
+                         lane=lane, rows=rows)
+        return out
+
+    def _reps(self, ga: tuple[int, ...], gbs: Sequence[tuple[int, ...]]
+              ) -> tuple[int, int, list[int]]:
+        """(stride, lane mask, reps) of (ga, gb) for gbs, a list or `Lanes`.
+
+        Rep int i has the bits where left vertex i is the least of a
+        component, so a degree's component count is the number of reps
+        with its bit set.
+        """
+        spread = ga[-1] - ga[0]
+        if not (isinstance(gbs, Lanes) and gbs.semigroup is self.s
+                and gbs.spread >= spread):
+            gbs = self.pack(gbs, spread)
+        keep = int.from_bytes(  # the lane mask in each of len(gbs) lanes
+            gbs.lane.to_bytes(gbs.stride // 8, "little") * len(gbs), "little")
+        return gbs.stride, gbs.lane, _component_reps(
+            [[(row << (g - ga[0])) & keep for row in gbs.rows] for g in ga])
 
     def tau_support_batch(self, ga: tuple[int, ...],
-                          gbs: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-        """(tau totals, support sizes) of (ga, gb) per gb; sorted minimal tuples."""
-        stride, lane, reps = self._reps(ga, gbs)
+                          gbs: Sequence[tuple[int, ...]]
+                          ) -> tuple[list[int], list[int]]:
+        """(tau totals, support sizes) of (ga, gb) per gb; sorted minimal
+        tuples of any lengths, as a list or as the `Lanes` of `pack`."""
+        stride, _, reps = self._reps(ga, gbs)
         tau = [0] * len(gbs)
         multi = 0  # the degrees with more than one component
         # a rep past the first component at its degree adds one to tau
         for e in map(and_, reps[1:], accumulate(reps, or_)):
-            _add_lane_counts(tau, e, stride, lane)
+            tau = list(map(add, tau, _lane_counts(e, len(gbs), stride)))
             multi |= e
-        support = [0] * len(gbs)
-        _add_lane_counts(support, multi, stride, lane)
-        return tau, support
+        return tau, _lane_counts(multi, len(gbs), stride)
 
     def component_counts(self, ga: tuple[int, ...],
                          gb: tuple[int, ...]) -> list[int]:
@@ -147,11 +187,11 @@ class TauEngine:
         return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
 
 
-def _add_lane_counts(totals: list[int], bits: int, stride: int,
-                     lane: int) -> None:
-    """Add to totals[k] the set bits of `bits & (lane << k*stride)`."""
-    for k in range(len(totals)):
-        totals[k] += ((bits >> (k * stride)) & lane).bit_count()
+def _lane_counts(bits: int, lanes: int, stride: int) -> list[int]:
+    """Set bits in each byte-aligned lane of `bits`, lowest lane first."""
+    view = bits.to_bytes(lanes * stride // 8, "little")
+    return [int.from_bytes(lane, "little").bit_count()
+            for lane, in iter_unpack(f"{stride // 8}s", view)]
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,32 @@ class TestSearch:
         assert args.jobs == 1
 
     def test_unwritable_out(self, capsys, tmp_path):
+        # the message names the path given, not the part file behind it
         target = tmp_path / "missing" / "records.jsonl"
         code, _, err = run(capsys, "search", "--mode", "hw", "--ab-max", "15",
                            "--out", str(target))
         assert code == 1
         assert err.count("\n") == 1 and "No such file" in err
+        assert f"'{target}'" in err and ".part" not in err
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--ab-max", "5", "ab_max"), ("--mu-max", "0", "mu_max"),
+        ("--jobs", "0", "--jobs"), ("--gen-window", "-1", "gen_window"),
+        ("--samples", "0", "samples")])
+    def test_bad_cap_names_its_field(self, capsys, flag, value, name):
+        code, _, err = run(capsys, "search", "--mode", "hw", flag, value)
+        assert code == 1 and err.count("\n") == 1
+        assert name in err and f"got {value}" in err
+
+    @pytest.mark.parametrize("caps", [("--mu-max", "1"),
+                                      ("--gen-window", "1")])
+    def test_half_mu_without_non_principal_ideals(self, capsys, tmp_path,
+                                                  caps):
+        # only (0,) is enumerated: no records, no stats, an empty file
+        out_path = tmp_path / "half.jsonl"
+        code, out, err = run(capsys, "search", "--mode", "half-mu-bound",
+                             "--ab-max", "20", *caps, "--out", str(out_path))
+        assert code == 0 and err == ""
+        assert out.splitlines()[:3] == ["mode: half-mu-bound", "records: 0",
+                                        "violations: 0"]
+        assert out_path.read_bytes() == b""

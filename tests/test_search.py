@@ -4,6 +4,8 @@ import multiprocessing.pool
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semitorsion.search as search
 
@@ -38,7 +40,59 @@ class TestEnumeration:
         assert got == expected
 
 
+@st.composite
+def ideal_batches(draw):
+    """A semigroup, a ga and a list of gbs of mixed lengths, with first
+    generators anywhere (not anchored at 0)."""
+    gens = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    s = make_semigroup(gens + [max(gens) + 1])
+    tuples = st.lists(st.integers(-6, 12), min_size=1, max_size=4).map(
+        lambda g: make_ideal(s, g).min_gens)
+    return s, draw(tuples), draw(st.lists(tuples, min_size=1, max_size=6))
+
+
+class CountingEngine(TauEngine):
+    """A TauEngine that counts its packings."""
+
+    packs = 0
+
+    def pack(self, gbs, spread):
+        self.packs += 1
+        return super().pack(gbs, spread)
+
+
 class TestTauEngine:
+    @given(ideal_batches())
+    # lanes packed for a spread of 0 are too narrow for ga = (1, 6): its
+    # shift reaches the next lane, so the engine must pack them afresh
+    @example((make_semigroup([3, 4]), (1, 6), [(0, 1), (-6, -4)]))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_lengths_and_suffixes(self, batch):
+        s, ga, gbs = batch
+        expected = []
+        for gb in gbs:
+            profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
+            expected.append((profile.total, profile.support_size))
+        engine = CountingEngine(s)
+        # a plain list of mixed lengths: shorter tuples are padded
+        assert list(zip(*engine.tau_support_batch(ga, gbs))) == expected
+        # lanes wide enough for ga and for every gb as a left side
+        spread = max(g[-1] - g[0] for g in [ga, *gbs])
+        packed = engine.pack(gbs, spread)
+        packs = engine.packs
+        for k in range(len(gbs)):
+            suffix = engine.tau_support_batch(ga, packed[k:])
+            assert list(zip(*suffix)) == expected[k:], k
+            assert suffix == engine.tau_support_batch(
+                ga, engine.pack(gbs[k:], spread)), k
+            packs += 1  # the direct packing above; the suffix made none
+            assert engine.packs == packs, k
+        # lanes too narrow for ga, or a stepped slice: packed afresh
+        assert list(zip(*engine.tau_support_batch(
+            ga, engine.pack(gbs, 0)))) == expected
+        assert list(zip(*engine.tau_support_batch(ga, packed[::2]))) == \
+            expected[::2]
+
     @pytest.mark.parametrize("a,b", [(2, 5), (3, 4), (3, 7), (4, 5), (5, 6)])
     def test_agrees_with_profile(self, a, b):
         s = make_semigroup([a, b])
@@ -281,9 +335,6 @@ class TestRecordStream:
         assert path.read_text() == expected
 
     @pytest.mark.parametrize("mode,record", [
-        ("half-mu-bound", {"a": 3, "b": 5, "bound_ok": False,
-                           "gens_A": "0,1", "gens_B": "0,1,2", "mu_A": 2,
-                           "mu_B": 3, "support": 1, "tau": 2}),
         ("dual-consistency", {"a": 5, "b": 7, "bidual_ok": True,
                               "bound_ok": False, "dual": "-3,0",
                               "gens_A": "0,3", "routes_agree": False}),
@@ -297,7 +348,9 @@ class TestRecordStream:
         ("oracle-compare", {"a": 4, "b": 9, "bound_ok": False,
                             "fibers": 31, "gens_A": "0,1,2",
                             "gens_B": "0,5"}),
-    ])
+    ], ids=[  # fixed, so no case is renamed when another one goes
+        "dual-consistency-record1", "dual-consistency-record2", "hw-record3",
+        "hw-record4", "oracle-compare-record5"])
     def test_line_writer_is_json_dumps(self, mode, record):
         # writers take bound_ok first, then the fields in sorted key order
         fields = [record[k] for k in sorted(record) if k != "bound_ok"]
@@ -315,3 +368,20 @@ class TestRecordStream:
         assert summary.violations[0] == {
             "a": 2, "all_positive": False, "b": 3, "bound_ok": False,
             "gap_count": 0, "max_count": None, "min_count": None}
+
+    def test_half_mu_violations_are_written_lines(self, monkeypatch,
+                                                  tmp_path):
+        # an engine that reports no torsion fails every bound
+        monkeypatch.setattr(TauEngine, "tau_support_batch",
+                            lambda self, ga, gbs: ([0] * len(gbs),
+                                                   [0] * len(gbs)))
+        out = tmp_path / "half.jsonl"
+        summary = run_search(SearchSpec(ab_max=20, mode="half-mu-bound",
+                                        mu_max=3, output_path=str(out)))
+        lines = out.read_text().splitlines(keepends=True)
+        assert summary.violation_count == summary.records == len(lines) > 100
+        assert len(summary.violations) == 100
+        for line, record in zip(lines, summary.violations):
+            assert record == json.loads(line) and not record["bound_ok"]
+            assert line == json.dumps(record, sort_keys=True,
+                                      separators=(",", ":")) + "\n"

@@ -55,14 +55,21 @@ def test_one_fiber_edge_builder():
 
 
 def test_bench_hooks_bind():
-    # bench/spans.py wraps the traced layers by name; a refactor that
-    # renames or unbinds one must fail here, not only in the benchmark
+    # bench/spans.py wraps the traced layers by name, and reads the
+    # engine's arguments; a refactor that renames or unbinds one, or
+    # changes what the engine is called with, must fail here, not only
+    # in the benchmark
     root = SRC.parents[1]
     code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
             "import semitorsion.cli, spans\n"
-            "spans.install()\n")
+            "tracer = spans.install()\n"
+            "code = semitorsion.cli.main(['search', '--mode', "
+            "'half-mu-bound', '--ab-max', '20', '--mu-max', '3'])\n"
+            "print(tracer.summary()['search.engine']['calls'])\n"
+            "sys.exit(code)\n")
     done = subprocess.run([sys.executable, "-c", code, str(root / "src"),
                            str(root / "bench")],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) > 0, done.stdout
     assert semitorsion.search.TauEngine is semitorsion.torsion.TauEngine
