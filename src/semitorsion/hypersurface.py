@@ -4,9 +4,9 @@ Integers correspond to classes of Z^2 modulo (b, -a) through
 (x, y) -> a*x + b*y. Relative ideals become staircase regions of the
 plane; their generators carry a cyclic order read off from the key
 (b*x - a*y) mod (a^2 + b^2), which is representative-independent.
-The dual of an ideal has an explicit generator formula in terms of the
-ordered generator coordinates, and a reflection formula z -> F - z
-holds over any symmetric semigroup.
+The dual has an explicit generator formula in the ordered generator
+coordinates (int lists from one checked reader), and a reflection
+formula z -> F - z holds over any symmetric semigroup.
 """
 
 from __future__ import annotations
@@ -74,27 +74,33 @@ class OrderedGenerators:
     """Generator representatives with x1 < ... < xn < x1 + b.
 
     The matching chain y1 > ... > yn > y1 - a then holds as well; it is
-    checked at construction, and a violation raises RuntimeError since
-    it would be a bug rather than bad input.
+    checked wherever coordinates are read, and a violation raises
+    RuntimeError since it would be a bug rather than bad input.
     """
 
     pairs: tuple[LatticeClass, ...]
     psi_values: tuple[int, ...]
 
 
-def ordered_generators(h: HypersurfaceSemigroup,
-                       ideal: RelativeIdeal) -> OrderedGenerators:
+def _ordered_coordinates(h: HypersurfaceSemigroup,
+                         ideal: RelativeIdeal) -> tuple[list[int], list[int]]:
+    """Generator x and y lists, by x in [0, b); the chain is checked."""
     _check_over(h.base, ideal)
-    pairs = sorted((lattice_normalize(h, g) for g in ideal.min_gens),
-                   key=lambda p: p.x)
-    xs = [p.x for p in pairs]
-    ys = [p.y for p in pairs]
-    if (any(xs[i] >= xs[i + 1] or ys[i] <= ys[i + 1]
-            for i in range(len(xs) - 1)) or ys[-1] <= ys[0] - h.a):
+    pairs = sorted((h.a_inverse * g % h.b, g) for g in ideal.min_gens)
+    xs = [x for x, _ in pairs]
+    ys = [(g - h.a * x) // h.b for x, g in pairs]
+    if (len(set(xs)) < len(xs) or ys != sorted(set(ys), reverse=True)
+            or ys[-1] <= ys[0] - h.a):
         raise RuntimeError(
             f"generator chain of {ideal!r} is not ordered: x={xs}, y={ys}")
-    return OrderedGenerators(tuple(pairs),
-                             tuple(h.a * p.x + h.b * p.y for p in pairs))
+    return xs, ys
+
+
+def ordered_generators(h: HypersurfaceSemigroup,
+                       ideal: RelativeIdeal) -> OrderedGenerators:
+    xs, ys = _ordered_coordinates(h, ideal)
+    return OrderedGenerators(tuple(map(LatticeClass, xs, ys)),
+                             tuple(h.a * x + h.b * y for x, y in zip(xs, ys)))
 
 
 def _cyclic_key(h: HypersurfaceSemigroup, p: LatticeClass) -> int:
@@ -149,13 +155,9 @@ def dual_formula(h: HypersurfaceSemigroup,
     -a*x_1 - b*y_n together with ab - a*x_{i+1} - b*y_i. Minimality of
     the produced set is recomputed rather than assumed.
     """
-    og = ordered_generators(h, ideal)
-    xs = [p.x for p in og.pairs]
-    ys = [p.y for p in og.pairs]
-    n = len(xs)
-    gens = [-h.a * xs[0] - h.b * ys[n - 1]]
-    gens.extend(h.a * h.b - h.a * xs[i + 1] - h.b * ys[i]
-                for i in range(n - 1))
+    xs, ys = _ordered_coordinates(h, ideal)
+    gens = [-h.a * xs[0] - h.b * ys[-1]]
+    gens.extend(h.a * (h.b - x) - h.b * y for x, y in zip(xs[1:], ys))
     return make_ideal(h.base, gens)
 
 

@@ -76,7 +76,7 @@ def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdea
     max + F + 1 (past it everything lies in max + S) the set is the OR
     of the translates g + S; its minimal generators are read off it.
     """
-    gens = sorted(set(int(g) for g in generators))
+    gens = sorted(set(map(int, generators)))
     if not gens:
         raise ValueError("generator list must be non-empty")
     g0 = gens[0]

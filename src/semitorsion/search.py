@@ -1,8 +1,8 @@
 """Exhaustive and seeded verification campaigns over two-generated semigroups.
 
 Campaigns enumerate coprime pairs (a, b) with b > a > 1 and a*b capped,
-and for each semigroup all canonical ideals: minimal generator sets
-containing 0 drawn from a window [0, W). Torsion totals are shift
+and for each semigroup, on bits, all canonical ideals: minimal generator
+sets containing 0 drawn from a window [0, W). Torsion totals are shift
 invariant, so anchoring the least generator at 0 loses nothing.
 
 The torsion totals for the pair sweeps come from `torsion.TauEngine`:
@@ -68,20 +68,22 @@ def canonical_ideal_gens(s: NumericalSemigroup, window: int,
 
     A tuple qualifies when no two entries differ by a semigroup member,
     which makes it the minimal generating set of the ideal it spans.
+    They come depth first, in lexicographic order; `free` holds the next
+    entry's candidates: bits above the last one not in the ideal so far.
     """
+    member = s.window(0, window)  # 0 for a window of width <= 0
     out: list[tuple[int, ...]] = []
 
-    def extend(cur: list[int], start: int) -> None:
-        out.append(tuple(cur))
+    def extend(cur: tuple[int, ...], free: int) -> None:
+        out.append(cur)
         if len(cur) == mu_max:
             return
-        for g in range(start, window):
-            if all(not s.contains(g - h) for h in cur):
-                cur.append(g)
-                extend(cur, g + 1)
-                cur.pop()
+        while free:
+            g = (free & -free).bit_length() - 1
+            free &= free - 1
+            extend(cur + (g,), free & ~(member << g))
 
-    extend([0], 1)
+    extend((0,), member ^ ((1 << max(window, 0)) - 1))
     return out
 
 
@@ -134,7 +136,7 @@ def _fold_stats(stats: dict, part: dict) -> None:
 
 
 def _gens_key(gens: tuple[int, ...]) -> str:
-    return ",".join(str(g) for g in gens)
+    return ",".join(map(str, gens))
 
 
 def _flag(value: bool) -> str:

@@ -44,7 +44,10 @@ class NumericalSemigroup(CofiniteSet):
                 "the complement would be infinite"
             )
 
-        bits = _membership_bits(gens)
+        try:
+            bits = _membership_bits(gens)
+        except OverflowError:  # a bound past the largest shift Python allows
+            raise ValueError(f"generators {gens} are too large") from None
         frob = (~bits & ((1 << bits.bit_length()) - 1)).bit_length() - 1
         self._normalize(frob + 1, 0, bits)
         self.frobenius = frob
@@ -88,10 +91,13 @@ def minimal_generators_of_set(s: NumericalSemigroup,
     """
     lo = cset.lo
     own = cset.window(lo, cset.threshold + s.multiplicity)
-    reached = 0
+    bits, out = own, []
     for n in s.generators:
-        reached |= own << n
-    return tuple(bit_positions(own & ~reached, lo))
+        bits &= ~(own << n)
+    while bits:  # at most multiplicity bits: read them off one by one
+        out.append(lo + (bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return tuple(out)
 
 
 def _membership_bits(gens: list[int]) -> int:

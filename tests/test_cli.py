@@ -46,6 +46,14 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--semigroup", "4,x")
         assert code == 1 and "cannot parse" in err
 
+    def test_huge_generators(self, capsys):
+        # the membership bound would need a shift past what Python allows;
+        # a mid-size input would allocate gigabytes instead, so none is tried
+        code, out, err = run(capsys, "info", "--semigroup",
+                             "99999999999,100000000000")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "99999999999, 100000000000" in err and "too large" in err
+
 
 class TestTau:
     def test_torsion_pair(self, capsys):
@@ -80,6 +88,12 @@ class TestDual:
         code, out, _ = run(capsys, "dual", "--semigroup", "5,7",
                            "--ideal-a", "9")
         assert code == 0 and out.strip() == "-9"
+
+    def test_negative_ideal_attached_with_equals(self, capsys):
+        # a list starting with "-" would be read as an option
+        code, out, _ = run(capsys, "dual", "--semigroup", "5,7",
+                           "--ideal-a=-4,3", "--method", "formula")
+        assert code == 0 and out.strip() == "4"
 
     def test_formula_needs_two_generators(self, capsys):
         code, _, err = run(capsys, "dual", "--semigroup", "4,5,6",

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from semitorsion import (LatticeClass, SemigroupMismatchError, boundary_cycle,
+from semitorsion import (HypersurfaceSemigroup, LatticeClass,
+                         SemigroupMismatchError, boundary_cycle,
                          check_half_mu_bound, dual_formula, dual_symmetric,
                          ideal_dual, make_ideal, make_hypersurface,
                          make_semigroup, lattice_normalize,
@@ -88,13 +89,15 @@ class TestOrderedGenerators:
         og = ordered_generators(h57, make_ideal(h57.base, [9]))
         assert len(og.pairs) == 1 and og.psi_values == (9,)
 
-    def test_broken_chain_raises(self, h57, triple, monkeypatch):
-        # the check must hold under python -O, so it is not an assert
-        import semitorsion.hypersurface as hs
-        monkeypatch.setattr(hs, "lattice_normalize",
-                            lambda h, g: LatticeClass(0, g))
+    def test_broken_chain_raises(self, triple):
+        # a wrong a^-1 puts the generators at (0,3), (3,0), (4,0), which
+        # breaks y1 > y2 > y3; the check must hold under python -O, so it
+        # is not an assert, and both readers of the chain go through it
+        h = HypersurfaceSemigroup(5, 7, make_semigroup((5, 7)), a_inverse=1)
         with pytest.raises(RuntimeError, match="not ordered"):
-            ordered_generators(h57, triple)
+            ordered_generators(h, triple)
+        with pytest.raises(RuntimeError, match="not ordered"):
+            dual_formula(h, triple)
 
     def test_two_gen_small(self):
         h = make_hypersurface(2, 3)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import multiprocessing.pool
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 import semitorsion.search as search
 
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
-                         coprime_pairs, make_ideal, make_semigroup,
-                         run_search, torsion_profile)
+                         coprime_pairs, ideal_shift, make_ideal,
+                         make_semigroup, run_search, torsion_profile)
 
 
 class TestEnumeration:
@@ -38,6 +39,21 @@ class TestEnumeration:
             (0, i) for i in range(1, 8) if not s.contains(i)
         }
         assert got == expected
+
+    @pytest.mark.parametrize("gens", [(3, 5), (4, 7), (5, 6, 7, 8)])
+    @pytest.mark.parametrize("mu_max", [1, 2, 3, 4])
+    def test_canonical_ideals_match_brute_force(self, gens, mu_max):
+        # same tuples in the same (lexicographic) order, over windows
+        # from empty to twice a + b
+        s = make_semigroup(gens)
+        span = gens[0] + gens[1]
+        for window in (-1, 0, 1, 2, span, 2 * span):
+            expected = sorted(
+                (0,) + c for k in range(mu_max)
+                for c in itertools.combinations(range(1, window), k)
+                if not any(s.contains(y - x) for x, y in
+                           itertools.combinations((0,) + c, 2)))
+            assert canonical_ideal_gens(s, window, mu_max) == expected
 
 
 @st.composite
@@ -164,6 +180,21 @@ class TestRunSearch:
         summary = run_search(SearchSpec(ab_max=20, mode="dual-consistency",
                                         mu_max=3))
         assert summary.ok and summary.records > 0
+
+    def test_dual_gate_bites(self, monkeypatch, tmp_path):
+        # a reflection route off by a shift must fail every record, and
+        # the kept violations must be the lines written
+        true_route = search.dual_symmetric
+        monkeypatch.setattr(search, "dual_symmetric", lambda h, ideal:
+                            ideal_shift(true_route(h, ideal), 1))
+        out = tmp_path / "dual.jsonl"
+        summary = run_search(SearchSpec(ab_max=20, mode="dual-consistency",
+                                        mu_max=2, output_path=str(out)))
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert summary.records == len(records) > 0
+        assert summary.violation_count == summary.records and not summary.ok
+        assert summary.violations == records[:100]
+        assert not any(r["routes_agree"] or r["bound_ok"] for r in records)
 
     def test_hw(self):
         summary = run_search(SearchSpec(ab_max=20, mode="hw"))

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -56,20 +57,33 @@ def test_one_fiber_edge_builder():
 
 def test_bench_hooks_bind():
     # bench/spans.py wraps the traced layers by name, and reads the
-    # engine's arguments; a refactor that renames or unbinds one, or
-    # changes what the engine is called with, must fail here, not only
-    # in the benchmark
+    # engine's arguments; a refactor that renames, aliases or unbinds
+    # one, or changes what the engine is called with, must fail here,
+    # not only in the benchmark. Each layer is counted over one campaign.
     root = SRC.parents[1]
-    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+    campaigns = [  # mode, --mu-max, layers it must enter
+        ["half-mu-bound", "3", ["search.engine"]],
+        ["dual-consistency", "2", ["search.enumerate", "ideals.make_ideal",
+                                   "hypersurface.dual_formula"]],
+    ]
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]\n"
             "import semitorsion.cli, spans\n"
             "tracer = spans.install()\n"
-            "code = semitorsion.cli.main(['search', '--mode', "
-            "'half-mu-bound', '--ab-max', '20', '--mu-max', '3'])\n"
-            "print(tracer.summary()['search.engine']['calls'])\n"
-            "sys.exit(code)\n")
+            "for mode, mu_max, layers in json.loads(sys.argv[3]):\n"
+            "    before = tracer.summary()\n"
+            "    code = semitorsion.cli.main(['search', '--mode', mode, "
+            "'--ab-max', '20', '--mu-max', mu_max])\n"
+            "    after = tracer.summary()\n"
+            "    print(json.dumps([code] + [after[k]['calls'] - "
+            "before[k]['calls'] for k in layers]))\n")
     done = subprocess.run([sys.executable, "-c", code, str(root / "src"),
-                           str(root / "bench")],
+                           str(root / "bench"), json.dumps(campaigns)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout.splitlines()[-1]) > 0, done.stdout
+    found = [json.loads(line) for line in done.stdout.splitlines()
+             if line.startswith("[")]
+    assert len(found) == len(campaigns), done.stdout
+    for (mode, _, layers), (code, *calls) in zip(campaigns, found):
+        assert code == 0, mode
+        assert all(c > 0 for c in calls), (mode, dict(zip(layers, calls)))
     assert semitorsion.search.TauEngine is semitorsion.torsion.TauEngine
