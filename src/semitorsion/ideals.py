@@ -57,7 +57,8 @@ class RelativeIdeal:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RelativeIdeal)
-            and self.semigroup == other.semigroup
+            and (self.semigroup is other.semigroup
+                 or self.semigroup == other.semigroup)
             and self.min_gens == other.min_gens
         )
 

@@ -13,10 +13,11 @@ checks the engine's component counts of each sampled pair, over its
 scan window, against the flood fill of `fiber_class_count`.
 The half-mu sweep packs a semigroup's ideals once, in mu order, and
 calls the engine once per ideal, on it and every ideal after it, since
-tau and the support are symmetric. Its rows are text from fixed
-fragments, one block per ideal A. In the other modes a record is a
-tuple: bound_ok, then the fields in sorted key order, and one
-fixed-schema f-string per mode writes it. Every line is the one
+tau and the support are symmetric. Every mode's runner writes its own
+fixed-schema f-string next to the values it formats and yields text
+blocks through `_block`: one per ideal A in half-mu, one per semigroup
+in dual and hw, one per 100 samples in oracle-compare, so a long run
+still streams. Every line is the one
 `json.dumps(record, sort_keys=True, separators=(",", ":"))` gives.
 """
 
@@ -28,9 +29,8 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import add, sub
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
@@ -143,29 +143,18 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _dual_line(bound_ok: bool, a: int, b: int, bidual_ok: bool, dual: str,
-               gens_a: str, routes_agree: bool) -> str:
-    return (f'{{"a":{a},"b":{b},"bidual_ok":{_flag(bidual_ok)},'
-            f'"bound_ok":{_flag(bound_ok)},"dual":"{dual}",'
-            f'"gens_A":"{gens_a}","routes_agree":{_flag(routes_agree)}}}\n')
+Block = tuple[str, int, list[str]]
 
 
-def _hw_line(bound_ok: bool, a: int, all_positive: bool, b: int,
-             gap_count: int, high: int | None, low: int | None) -> str:
-    return (f'{{"a":{a},"all_positive":{_flag(all_positive)},"b":{b},'
-            f'"bound_ok":{_flag(bound_ok)},"gap_count":{gap_count},'
-            f'"max_count":{"null" if high is None else high},'
-            f'"min_count":{"null" if low is None else low}}}\n')
-
-
-def _oracle_line(bound_ok: bool, a: int, b: int, fibers: int, gens_a: str,
-                 gens_b: str) -> str:
-    return (f'{{"a":{a},"b":{b},"bound_ok":{_flag(bound_ok)},'
-            f'"fibers":{fibers},"gens_A":"{gens_a}","gens_B":"{gens_b}"}}\n')
+def _block(lines: list[str], oks: list[bool]) -> Block:
+    """A text block: the lines joined, their count, and the lines whose
+    bound_ok is false."""
+    return ("".join(lines), len(lines),
+            [] if all(oks) else [x for x, ok in zip(lines, oks) if not ok])
 
 
 def _half_mu_records(a: int, b: int, window: int, mu_max: int,
-                     stats: dict) -> Iterator[tuple[str, int, list[str]]]:
+                     stats: dict) -> Iterator[Block]:
     """Every ordered pair of non-principal ideals, one text block per ideal A.
 
     Row p of the tables takes its entries before p from earlier engine
@@ -206,14 +195,14 @@ def _half_mu_records(a: int, b: int, window: int, mu_max: int,
                for t, c, mb in zip(taus[p], supports[p], mus)]
         lines = [f'{heads[ok]}{tail}{c},"tau":{t}}}\n' for ok, tail, t, c
                  in zip(oks, tails[mu_a], taus[p], supports[p])]
-        yield ("".join(lines), len(lines),
-               [] if all(oks) else [x for x, ok in zip(lines, oks) if not ok])
+        yield _block(lines, oks)
 
 
 def _dual_records(a: int, b: int, window: int, mu_max: int,
-                  stats: dict) -> Iterator[tuple]:
+                  stats: dict) -> Iterator[Block]:
     h = make_hypersurface(a, b)
     s = h.base
+    lines, oks = [], []
     for gens in canonical_ideal_gens(s, window, mu_max):
         ideal = make_ideal(s, gens)
         via_formula = dual_formula(h, ideal)
@@ -221,43 +210,56 @@ def _dual_records(a: int, b: int, window: int, mu_max: int,
         via_reflection = dual_symmetric(h, ideal)
         routes_agree = (via_formula == via_scan == via_reflection)
         bidual_ok = dual_formula(h, via_formula) == ideal
-        yield (routes_agree and bidual_ok, a, b, bidual_ok,
-               _gens_key(via_formula.min_gens), _gens_key(gens), routes_agree)
+        oks.append(routes_agree and bidual_ok)
+        lines.append(f'{{"a":{a},"b":{b},"bidual_ok":{_flag(bidual_ok)},'
+                     f'"bound_ok":{_flag(oks[-1])},'
+                     f'"dual":"{_gens_key(via_formula.min_gens)}",'
+                     f'"gens_A":"{_gens_key(gens)}",'
+                     f'"routes_agree":{_flag(routes_agree)}}}\n')
+    yield _block(lines, oks)
 
 
 def _hw_records(a: int, b: int, window: int, mu_max: int,
-                stats: dict) -> Iterator[tuple]:
+                stats: dict) -> Iterator[Block]:
     report = hw_check_semigroup(make_semigroup((a, b)))
     counts = list(report.per_gap.values())
-    low, high = (min(counts), max(counts)) if counts else (None, None)
+    low, high = (min(counts), max(counts)) if counts else ("null", "null")
     if counts:
         _fold_stats(stats, {"min_count": low, "max_count": high})
-    yield (report.all_positive, a, report.all_positive, b, len(counts),
-           high, low)
+    ok = _flag(report.all_positive)
+    yield _block([f'{{"a":{a},"all_positive":{ok},"b":{b},"bound_ok":{ok},'
+                  f'"gap_count":{len(counts)},"max_count":{high},'
+                  f'"min_count":{low}}}\n'], [report.all_positive])
 
 
-def _oracle_compare_records(spec: SearchSpec) -> Iterator[tuple]:
+def _oracle_compare_records(spec: SearchSpec) -> Iterator[Block]:
     """Seeded random tuples; on each, compare the engine's fiber graph
     component counts over the scan window with the flood fill of every
-    fiber in it."""
+    fiber in it. A block holds 100 samples, so a long run streams."""
     rng = random.Random(spec.seed)
     pairs = coprime_pairs(spec.ab_max)
     cache: dict[tuple[int, int], tuple[TauEngine, list[RelativeIdeal]]] = {}
-    for _ in range(spec.samples):
-        key = rng.choice(pairs)
+    lines, oks = [], []
+    for n in range(1, spec.samples + 1):
+        a, b = key = rng.choice(pairs)
         if key not in cache:
             s = make_semigroup(key)
             cache[key] = (TauEngine(s), [
                 make_ideal(s, g) for g in canonical_ideal_gens(
-                    s, spec.window_for(*key), spec.mu_max)])
+                    s, spec.window_for(a, b), spec.mu_max)])
         engine, ideals = cache[key]
         ia, ib = rng.choice(ideals), rng.choice(ideals)
         lo, hi = scan_window(ia, ib)
         # list equality: a count list short of the window disagrees
-        agree = (engine.component_counts(ia.min_gens, ib.min_gens)
-                 == fiber_class_count(ia, ib, lo, hi))
-        yield (agree, *key, hi - lo + 1, _gens_key(ia.min_gens),
-               _gens_key(ib.min_gens))
+        oks.append(engine.component_counts(ia.min_gens, ib.min_gens)
+                   == fiber_class_count(ia, ib, lo, hi))
+        lines.append(f'{{"a":{a},"b":{b},"bound_ok":{_flag(oks[-1])},'
+                     f'"fibers":{hi - lo + 1},'
+                     f'"gens_A":"{_gens_key(ia.min_gens)}",'
+                     f'"gens_B":"{_gens_key(ib.min_gens)}"}}\n')
+        if n % 100 == 0 or n == spec.samples:
+            yield _block(lines, oks)
+            lines, oks = [], []
 
 
 _MODE_RUNNERS = {
@@ -266,35 +268,13 @@ _MODE_RUNNERS = {
     "hw": _hw_records,
 }
 
-# Modes whose runners yield record tuples, one line writer each
-_LINE_WRITERS = {
-    "dual-consistency": _dual_line,
-    "hw": _hw_line,
-    "oracle-compare": _oracle_line,
-}
 
-
-def _line_blocks(line: Callable[..., str],
-                 records: Iterable[tuple]) -> Iterator[tuple]:
-    """Text blocks of record tuples, each written by `line`; a block holds
-    at most 100, so a long oracle-compare run still streams."""
-    records = iter(records)
-    while chunk := list(islice(records, 100)):
-        lines = [line(*record) for record in chunk]
-        yield "".join(lines), len(lines), [
-            text for text, record in zip(lines, chunk) if not record[0]]
-
-
-def _run_task(task: tuple, lazy: bool = False) -> tuple[Iterable, dict]:
-    """A task's text blocks (a list, or made lazily) and the stats they fill.
-
-    A block is (text, record count, the lines whose bound_ok is false).
-    """
+def _run_task(task: tuple,
+              lazy: bool = False) -> tuple[Iterable[Block], dict]:
+    """A task's text blocks (a list, or lazy) and the stats they fill."""
     mode, a, b, window, mu_max = task
     stats: dict = {}
     blocks = _MODE_RUNNERS[mode](a, b, window, mu_max, stats)
-    if mode in _LINE_WRITERS:
-        blocks = _line_blocks(_LINE_WRITERS[mode], blocks)
     return (blocks if lazy else list(blocks)), stats
 
 
@@ -316,9 +296,8 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     done = False
     try:
         if spec.mode == "oracle-compare":
-            chunks: Iterable[tuple[Iterable[tuple], dict]] = [
-                (_line_blocks(_LINE_WRITERS[spec.mode],
-                              _oracle_compare_records(spec)), {})]
+            chunks: Iterable[tuple[Iterable[Block], dict]] = [
+                (_oracle_compare_records(spec), {})]
         else:
             tasks = [(spec.mode, a, b, spec.window_for(a, b), spec.mu_max)
                      for a, b in coprime_pairs(spec.ab_max)]

@@ -15,6 +15,17 @@ from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
                          make_semigroup, run_search, torsion_profile)
 
 
+def written_records(path) -> list[dict]:
+    """The records of a stream; every line must be the bytes json.dumps
+    gives the record with sorted keys."""
+    lines = path.read_text().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    for line, record in zip(lines, records):
+        assert line == json.dumps(record, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+    return records
+
+
 class TestEnumeration:
     def test_coprime_pairs(self):
         pairs = coprime_pairs(15)
@@ -176,36 +187,51 @@ class TestRunSearch:
         assert summary.stats["min_two_tau_minus_mu_mu"] >= 0
         assert summary.stats["min_tau_plus_support_minus_mu_mu"] >= 0
 
-    def test_dual_consistency(self):
-        summary = run_search(SearchSpec(ab_max=20, mode="dual-consistency",
-                                        mu_max=3))
-        assert summary.ok and summary.records > 0
-
-    def test_dual_gate_bites(self, monkeypatch, tmp_path):
-        # a reflection route off by a shift must fail every record, and
-        # the kept violations must be the lines written
-        true_route = search.dual_symmetric
-        monkeypatch.setattr(search, "dual_symmetric", lambda h, ideal:
-                            ideal_shift(true_route(h, ideal), 1))
+    def test_dual_consistency(self, tmp_path):
         out = tmp_path / "dual.jsonl"
         summary = run_search(SearchSpec(ab_max=20, mode="dual-consistency",
-                                        mu_max=2, output_path=str(out)))
-        records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert summary.records == len(records) > 0
-        assert summary.violation_count == summary.records and not summary.ok
-        assert summary.violations == records[:100]
-        assert not any(r["routes_agree"] or r["bound_ok"] for r in records)
+                                        mu_max=3, output_path=str(out)))
+        records = written_records(out)
+        assert summary.ok and summary.records == len(records) > 0
+        assert all(r["bound_ok"] for r in records)
 
-    def test_hw(self):
-        summary = run_search(SearchSpec(ab_max=20, mode="hw"))
-        assert summary.ok
-        assert summary.records == len(coprime_pairs(20))
+    def test_dual_gate_bites(self, monkeypatch, tmp_path):
+        # a route off by a shift must fail every record, and the kept
+        # violations must be the lines written, in json.dumps form; the
+        # formula route shifted down writes negative dual generators
+        out = tmp_path / "dual.jsonl"
+        for route, shift in (("dual_symmetric", 1), ("dual_formula", -3)):
+            true_route = getattr(search, route)
+            monkeypatch.setattr(search, route, lambda h, ideal, f=true_route,
+                                by=shift: ideal_shift(f(h, ideal), by))
+            summary = run_search(SearchSpec(ab_max=20, mode="dual-consistency",
+                                            mu_max=2, output_path=str(out)))
+            monkeypatch.undo()
+            records = written_records(out)
+            assert summary.records == len(records) > 0
+            assert summary.violation_count == summary.records
+            assert summary.violations == records[:100] and not summary.ok
+            assert not any(r["routes_agree"] or r["bound_ok"]
+                           for r in records), route
+        assert any(r["dual"].startswith("-") for r in records)
+
+    def test_hw(self, tmp_path):
+        out = tmp_path / "hw.jsonl"
+        summary = run_search(SearchSpec(ab_max=20, mode="hw",
+                                        output_path=str(out)))
+        records = written_records(out)
+        assert summary.ok and all(r["bound_ok"] for r in records)
+        assert summary.records == len(records) == len(coprime_pairs(20))
         assert summary.stats["min_count"] >= 1
 
-    def test_oracle_compare(self):
+    def test_oracle_compare(self, tmp_path):
+        out = tmp_path / "oracle.jsonl"
         summary = run_search(SearchSpec(ab_max=20, mode="oracle-compare",
-                                        mu_max=3, samples=25, seed=11))
-        assert summary.ok and summary.records == 25
+                                        mu_max=3, samples=25, seed=11,
+                                        output_path=str(out)))
+        records = written_records(out)
+        assert summary.ok and all(r["bound_ok"] for r in records)
+        assert summary.records == len(records) == 25
 
     def test_oracle_catches_one_bad_degree(self, monkeypatch, tmp_path):
         # a flood fill off by one at the top degree of each window only:
@@ -219,14 +245,16 @@ class TestRunSearch:
 
         monkeypatch.setattr(search, "fiber_class_count", off_at_top)
         out = tmp_path / "oracle.jsonl"
-        summary = run_search(SearchSpec(ab_max=20, mode="oracle-compare",
-                                        mu_max=3, samples=25, seed=11,
-                                        output_path=str(out)))
-        records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert len(records) == summary.records == 25
-        assert not any(r["bound_ok"] for r in records)
-        assert summary.violation_count == 25 and not summary.ok
-        assert summary.violations == records
+        # 201 samples cross the 100-record block edge twice
+        for samples in (25, 201):
+            summary = run_search(SearchSpec(ab_max=20, mode="oracle-compare",
+                                            mu_max=3, samples=samples,
+                                            seed=11, output_path=str(out)))
+            records = written_records(out)
+            assert len(records) == summary.records == samples
+            assert not any(r["bound_ok"] for r in records)
+            assert summary.violation_count == samples and not summary.ok
+            assert summary.violations == records[:100]
 
     def test_oracle_catches_broken_engine(self, monkeypatch, tmp_path):
         # oracle-compare checks the engine's own lanes: reps that lose
@@ -269,7 +297,7 @@ class TestRunSearch:
     def test_parallel_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        for mode in ("dual-consistency", "half-mu-bound"):
+        for mode in ("dual-consistency", "half-mu-bound", "hw"):
             runs = [run_search(SearchSpec(ab_max=18, mode=mode, mu_max=3,
                                           parallelism=jobs,
                                           output_path=str(path)))
@@ -310,16 +338,17 @@ class TestRunSearch:
                 calls.append("terminate")
                 super().terminate()
 
-        def broken(*record):
-            raise RuntimeError("writer failed")
+        def broken(s):
+            raise RuntimeError("report failed")
 
         monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
         out = tmp_path / "hw.jsonl"
         summary = run_search(SearchSpec(ab_max=40, mode="hw", parallelism=2,
                                         output_path=str(out)))
         assert summary.ok and calls == ["close"]
-        monkeypatch.setitem(search._LINE_WRITERS, "hw", broken)
-        with pytest.raises(RuntimeError, match="writer failed"):
+        # the pool forks, so its workers inherit the patch
+        monkeypatch.setattr(search, "hw_check_semigroup", broken)
+        with pytest.raises(RuntimeError, match="report failed"):
             run_search(SearchSpec(ab_max=40, mode="hw", parallelism=2,
                                   output_path=str(out)))
         assert calls == ["close", "terminate"]
@@ -365,40 +394,28 @@ class TestRecordStream:
         assert summary.records == expected.count("\n") > 0
         assert path.read_text() == expected
 
-    @pytest.mark.parametrize("mode,record", [
-        ("dual-consistency", {"a": 5, "b": 7, "bidual_ok": True,
-                              "bound_ok": False, "dual": "-3,0",
-                              "gens_A": "0,3", "routes_agree": False}),
-        ("dual-consistency", {"a": 5, "b": 7, "bidual_ok": False,
-                              "bound_ok": False, "dual": "0",
-                              "gens_A": "0", "routes_agree": True}),
-        ("hw", {"a": 2, "all_positive": True, "b": 3, "bound_ok": True,
-                "gap_count": 0, "max_count": None, "min_count": None}),
-        ("hw", {"a": 5, "all_positive": False, "b": 7, "bound_ok": False,
-                "gap_count": 12, "max_count": 9, "min_count": 0}),
-        ("oracle-compare", {"a": 4, "b": 9, "bound_ok": False,
-                            "fibers": 31, "gens_A": "0,1,2",
-                            "gens_B": "0,5"}),
-    ], ids=[  # fixed, so no case is renamed when another one goes
-        "dual-consistency-record1", "dual-consistency-record2", "hw-record3",
-        "hw-record4", "oracle-compare-record5"])
-    def test_line_writer_is_json_dumps(self, mode, record):
-        # writers take bound_ok first, then the fields in sorted key order
-        fields = [record[k] for k in sorted(record) if k != "bound_ok"]
-        line = search._LINE_WRITERS[mode](record["bound_ok"], *fields)
-        assert line == json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n"
-
-    def test_violations_are_record_dicts(self, monkeypatch):
-        # a report that fails every semigroup: each record is a violation
-        monkeypatch.setattr(search, "hw_check_semigroup", lambda s:
-                            SimpleNamespace(per_gap={}, all_positive=False))
-        summary = run_search(SearchSpec(ab_max=400, mode="hw"))
-        assert summary.violation_count == summary.records > 100
-        assert len(summary.violations) == 100 and summary.stats == {}
-        assert summary.violations[0] == {
-            "a": 2, "all_positive": False, "b": 3, "bound_ok": False,
-            "gap_count": 0, "max_count": None, "min_count": None}
+    def test_violations_are_record_dicts(self, monkeypatch, tmp_path):
+        # reports that fail every semigroup, with no gap and with a gap of
+        # count 0: each record is a violation
+        out = tmp_path / "hw.jsonl"
+        for per_gap, stats, first in (
+                ({}, {}, {"gap_count": 0, "max_count": None,
+                          "min_count": None}),
+                ({1: 2, 3: 0}, {"min_count": 0, "max_count": 2},
+                 {"gap_count": 2, "max_count": 2, "min_count": 0})):
+            monkeypatch.setattr(search, "hw_check_semigroup",
+                                lambda s, per_gap=per_gap: SimpleNamespace(
+                                    per_gap=per_gap, all_positive=False))
+            summary = run_search(SearchSpec(ab_max=400, mode="hw",
+                                            output_path=str(out)))
+            records = written_records(out)
+            assert summary.violation_count == summary.records == len(records)
+            assert len(summary.violations) == 100 < summary.records
+            assert summary.violations == records[:100]
+            assert summary.stats == stats
+            assert summary.violations[0] == {
+                "a": 2, "all_positive": False, "b": 3, "bound_ok": False,
+                **first}
 
     def test_half_mu_violations_are_written_lines(self, monkeypatch,
                                                   tmp_path):
@@ -409,10 +426,7 @@ class TestRecordStream:
         out = tmp_path / "half.jsonl"
         summary = run_search(SearchSpec(ab_max=20, mode="half-mu-bound",
                                         mu_max=3, output_path=str(out)))
-        lines = out.read_text().splitlines(keepends=True)
-        assert summary.violation_count == summary.records == len(lines) > 100
-        assert len(summary.violations) == 100
-        for line, record in zip(lines, summary.violations):
-            assert record == json.loads(line) and not record["bound_ok"]
-            assert line == json.dumps(record, sort_keys=True,
-                                      separators=(",", ":")) + "\n"
+        records = written_records(out)
+        assert summary.violation_count == summary.records == len(records) > 100
+        assert summary.violations == records[:100]
+        assert not any(r["bound_ok"] for r in records)

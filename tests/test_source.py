@@ -61,18 +61,23 @@ def test_bench_hooks_bind():
     # one, or changes what the engine is called with, must fail here,
     # not only in the benchmark. Each layer is counted over one campaign.
     root = SRC.parents[1]
-    campaigns = [  # mode, --mu-max, layers it must enter
-        ["half-mu-bound", "3", ["search.engine"]],
-        ["dual-consistency", "2", ["search.enumerate", "ideals.make_ideal",
-                                   "hypersurface.dual_formula"]],
+    campaigns = [  # search arguments after --ab-max 20, layers to enter
+        [["--mode", "half-mu-bound", "--mu-max", "3"], ["search.engine"]],
+        [["--mode", "dual-consistency", "--mu-max", "2"],
+         ["search.enumerate", "ideals.make_ideal",
+          "hypersurface.dual_formula"]],
+        [["--mode", "hw"], ["huneke_wiegand.irreducible_triples",
+                            "cofinite.sumset"]],
+        [["--mode", "oracle-compare", "--mu-max", "3", "--samples", "20"],
+         ["search.enumerate", "torsion.fiber_class_count"]],
     ]
     code = ("import json, sys; sys.path[:0] = sys.argv[1:3]\n"
             "import semitorsion.cli, spans\n"
             "tracer = spans.install()\n"
-            "for mode, mu_max, layers in json.loads(sys.argv[3]):\n"
+            "for args, layers in json.loads(sys.argv[3]):\n"
             "    before = tracer.summary()\n"
-            "    code = semitorsion.cli.main(['search', '--mode', mode, "
-            "'--ab-max', '20', '--mu-max', mu_max])\n"
+            "    code = semitorsion.cli.main(['search', '--ab-max', '20', "
+            "*args])\n"
             "    after = tracer.summary()\n"
             "    print(json.dumps([code] + [after[k]['calls'] - "
             "before[k]['calls'] for k in layers]))\n")
@@ -83,7 +88,7 @@ def test_bench_hooks_bind():
     found = [json.loads(line) for line in done.stdout.splitlines()
              if line.startswith("[")]
     assert len(found) == len(campaigns), done.stdout
-    for (mode, _, layers), (code, *calls) in zip(campaigns, found):
-        assert code == 0, mode
-        assert all(c > 0 for c in calls), (mode, dict(zip(layers, calls)))
+    for (args, layers), (code, *calls) in zip(campaigns, found):
+        assert code == 0, args
+        assert all(c > 0 for c in calls), (args, dict(zip(layers, calls)))
     assert semitorsion.search.TauEngine is semitorsion.torsion.TauEngine
