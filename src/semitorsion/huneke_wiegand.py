@@ -6,6 +6,10 @@ at x is irreducible when x is in T but not in P + P. The count of
 irreducible triples equals the torsion length of the tensor product of
 the two-generated ideal (1, t^n) with its dual; the conjecture being
 probed predicts a positive count for every gap n of S.
+
+P + P = G + P for the minimal generators G of P: P + S lies in P, so
+p + q = g + (s + q) whenever p = g + s. G has at most multiplicity
+members, so the sum ORs a few shifted heads of P, not one per member.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 from .cofinite import CofiniteSet
 from .ideals import ideal_dual, make_ideal
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _generator_bits
 
 __all__ = [
     "TripleReport",
@@ -32,30 +36,30 @@ class RouteDisagreementError(RuntimeError):
     """The direct triple scan and the dual-quotient route disagreed."""
 
 
-def _progressions(s: NumericalSemigroup, n: int, terms: int) -> CofiniteSet:
-    """{x : x, x + n, ..., x + (terms-1)n all in S}; contains every x > F.
+def _progressions(s: NumericalSemigroup,
+                  n: int) -> tuple[CofiniteSet, CofiniteSet]:
+    """{x : x, x + n in S} and {x : x, x + n, x + 2n in S}.
 
-    Over [0, F] this is M & (M >> n) & (M >> 2n) ... for the membership
-    bits M of S.
+    Both contain every x > F. Over [0, F] they are M & (M >> n) and
+    M & (M >> n) & (M >> 2n) for the membership bits M of S.
     """
     if n <= 0:
         raise ValueError(f"step must be positive, got {n}")
     t = s.frobenius + 1
-    m = s.window(0, t + (terms - 1) * n)
-    bits = m
-    for k in range(1, terms):
-        bits &= m >> (k * n)
-    return CofiniteSet.from_bits(t, 0, bits)
+    m = s.window(0, t + 2 * n)
+    bits = m & (m >> n)
+    return (CofiniteSet.from_bits(t, 0, bits),
+            CofiniteSet.from_bits(t, 0, bits & (m >> 2 * n)))
 
 
 def pairs_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
     """{x : x in S and x + n in S}; contains every x > F."""
-    return _progressions(s, n, 2)
+    return _progressions(s, n)[0]
 
 
 def triples_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
     """{x : x, x + n and x + 2n in S}; contains every x > F."""
-    return _progressions(s, n, 3)
+    return _progressions(s, n)[1]
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,14 @@ class TripleReport:
 
 
 def irreducible_triples(s: NumericalSemigroup, n: int) -> TripleReport:
-    """Triples (x, x+n, x+2n) in S that are not sums of two pairs."""
-    p = pairs_set(s, n)
-    t = triples_set(s, n)
-    irr = tuple(t.difference(p.sumset(p)))
+    """Triples (x, x+n, x+2n) in S that are not sums of two pairs.
+
+    P + P = G + P for the minimal generators G of P, since P + S lies in
+    P and each p in P is g + s; G with P's tail still sums to P + P.
+    """
+    p, t = _progressions(s, n)
+    gens = CofiniteSet.from_bits(p.threshold, p.lo, _generator_bits(s, p))
+    irr = tuple(t.difference(gens.sumset(p)))
     return TripleReport(n, p, t, irr, len(irr))
 
 

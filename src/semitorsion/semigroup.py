@@ -26,7 +26,7 @@ class NumericalSemigroup(CofiniteSet):
     equality and hash serve. Instances are immutable.
     """
 
-    __slots__ = ("generators", "frobenius", "multiplicity")
+    __slots__ = ("generators", "frobenius", "multiplicity", "_symmetric")
 
     generators: tuple[int, ...]
     frobenius: int
@@ -57,6 +57,8 @@ class NumericalSemigroup(CofiniteSet):
         self.multiplicity = gens[0]
         self.generators = minimal_generators_of_set(
             self, CofiniteSet.from_bits(max(frob + 1, 1), 1, self.bits >> 1))
+        full = (1 << (frob + 1)) - 1
+        self._symmetric = reverse_bits(self.bits, frob + 1) == self.bits ^ full
 
     def gaps(self) -> list[int]:
         """The non-members in [0, frobenius], ascending."""
@@ -72,28 +74,30 @@ class NumericalSemigroup(CofiniteSet):
         side is forced negative and the other forced above F. There the
         condition says the reversed membership bits are their complement.
         """
-        width = self.threshold
-        return reverse_bits(self.bits, width) == self.bits ^ ((1 << width) - 1)
+        return self._symmetric
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup({list(self.generators)})"
 
 
-def minimal_generators_of_set(s: NumericalSemigroup,
-                              cset: CofiniteSet) -> tuple[int, ...]:
-    """Minimal generators of a cofinite set that is closed under adding s.
+def _generator_bits(s: NumericalSemigroup, cset: CofiniteSet) -> int:
+    """Bit i set iff cset.lo + i minimally generates `cset` (closed under +s).
 
-    An element is a generator iff subtracting any generator of s (any
-    generating set serves, minimal or not) leaves the set; candidates at
-    or above threshold + multiplicity are never generators since
-    subtracting the multiplicity stays in the tail. Over that window the
-    generators are own & ~OR(own << n).
+    A member is a generator iff subtracting any generator of s (any
+    generating set serves, minimal or not) leaves the set; none lies at
+    or above threshold + multiplicity, since subtracting the multiplicity
+    stays in the tail. Over that window they are own & ~OR(own << n).
     """
-    lo = cset.lo
-    own = cset.window(lo, cset.threshold + s.multiplicity)
-    bits, out = own, []
+    bits = own = cset.window(cset.lo, cset.threshold + s.multiplicity)
     for n in s.generators:
         bits &= ~(own << n)
+    return bits
+
+
+def minimal_generators_of_set(s: NumericalSemigroup,
+                              cset: CofiniteSet) -> tuple[int, ...]:
+    """Minimal generators of a cofinite set that is closed under adding s."""
+    lo, bits, out = cset.lo, _generator_bits(s, cset), []
     while bits:  # at most multiplicity bits: read them off one by one
         out.append(lo + (bits & -bits).bit_length() - 1)
         bits &= bits - 1

@@ -1,12 +1,21 @@
+import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import semitorsion
 from semitorsion.cli import main
+
+
+# The benchmark's workload table, read without importing from (or
+# writing bytecode into) bench/.
+BENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench"
+                           / "workloads.py"))
 
 
 def run(capsys, *argv):
@@ -178,3 +187,20 @@ class TestSearch:
         assert out.splitlines()[:3] == ["mode: half-mu-bound", "records: 0",
                                         "violations: 0"]
         assert out_path.read_bytes() == b""
+
+
+class TestPinnedStreams:
+    # every tiny stream and the full hw one must keep the benchmark's
+    # pinned record count and sha256, byte for byte
+    @pytest.mark.parametrize("workload, size", [
+        *((w, "tiny") for w in BENCH["WORKLOADS"]), ("hw", "full")])
+    def test_stream_matches_pin(self, capsys, tmp_path, workload, size):
+        out_path = tmp_path / "records.jsonl"
+        argv = BENCH["campaign_argv"](workload, size, BENCH["PINNED_SEED"],
+                                      str(out_path))
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        data = out_path.read_bytes()
+        pin = BENCH["WORKLOADS"][workload]["sizes"][size]
+        assert data.count(b"\n") == pin["records"]
+        assert hashlib.sha256(data).hexdigest() == pin["sha256"]

@@ -5,12 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semitorsion import (CofiniteSet, hw_check_semigroup, irreducible_triples,
-                         make_semigroup, pairs_set, torsion_length_2gen,
-                         triples_set)
+                         make_semigroup, minimal_generators_of_set, pairs_set,
+                         torsion_length_2gen, triples_set)
 
 
 small_semigroups = st.lists(st.integers(2, 20), min_size=2, max_size=3).filter(
     lambda g: math.gcd(*g) == 1).map(make_semigroup)
+
+# 2 to 5 generators, multiplicity at most 12
+wide_semigroups = st.lists(st.integers(2, 30), min_size=2, max_size=5).filter(
+    lambda g: math.gcd(*g) == 1 and min(g) <= 12).map(make_semigroup)
+
+
+@st.composite
+def semigroup_and_step(draw):
+    """A semigroup and a step that is a gap, a member or past F."""
+    s = draw(wide_semigroups)
+    f = s.frobenius
+    members = s.members_upto(f)[1:]
+    steps = [st.sampled_from(s.gaps()), st.integers(f + 1, 2 * f + 5)]
+    if members:
+        steps.append(st.sampled_from(members))
+    return s, draw(st.one_of(steps))
 
 
 class TestPairsSet:
@@ -67,6 +83,25 @@ class TestIrreducibleTriples:
         report = irreducible_triples(make_semigroup([2, 3]), 1)
         assert report.irreducible == (2, 3) and report.count == 2
 
+    def test_rejects_bad_step(self):
+        s = make_semigroup([5, 7])
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                irreducible_triples(s, n)
+
+    @given(semigroup_and_step())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_self_sum(self, case):
+        # the generator route against the definition T \ (P + P)
+        s, n = case
+        p, t = pairs_set(s, n), triples_set(s, n)
+        expected = tuple(t.difference(p.sumset(p)))
+        report = irreducible_triples(s, n)
+        assert report.pairs == p and report.triples == t
+        assert report.irreducible == expected
+        assert report.count == len(expected)
+        assert len(minimal_generators_of_set(s, p)) <= s.multiplicity
+
     def test_window_bound(self):
         for gens, n in [([5, 7], 1), ([5, 7], 4), ([3, 10], 2), ([4, 9], 5)]:
             s = make_semigroup(gens)
@@ -89,7 +124,9 @@ class TestTorsionLength:
     def test_routes_agree_across_family(self):
         # disagreement raises, so evaluation is the assertion
         semigroups = [[2, 3], [2, 5], [3, 4], [3, 5], [4, 5], [5, 7],
-                      [4, 5, 6], [3, 5, 7], [6, 10, 15], [4, 7, 9], [5, 8, 11]]
+                      [4, 5, 6], [3, 5, 7], [6, 10, 15], [4, 7, 9], [5, 8, 11],
+                      # some P_n here have 4 or 5 minimal generators
+                      [5, 6, 7, 8], [6, 7, 8, 9, 10], [7, 9, 11, 13]]
         for gens in semigroups:
             s = make_semigroup(gens)
             for n in range(1, 2 * max(s.frobenius, 1) + 1):
