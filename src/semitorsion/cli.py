@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .cofinite import bit_positions
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
@@ -36,14 +37,24 @@ def _semigroup(text: str):
     return make_semigroup(_parse_ints(text, "semigroup"))
 
 
+_GAP_BYTES = 1 << 8  # membership bytes read per write of the gap line
+
+
 def cmd_info(args) -> int:
     s = _semigroup(args.semigroup)
-    g = s.gaps()
     print(f"generators: {','.join(str(x) for x in s.generators)}")
     print(f"frobenius: {s.frobenius}")
     print(f"multiplicity: {s.multiplicity}")
-    print(f"gaps ({len(g)}): {','.join(str(x) for x in g)}")
-    print(f"symmetric: {s.is_symmetric()}")
+    print(f"gaps ({s.genus()}): ", end="")
+    view, sep = s.bits.to_bytes((s.threshold + 7) // 8, "little"), ""
+    for i in range(0, len(view), _GAP_BYTES):  # never all gaps at once
+        full = (1 << min(8 * _GAP_BYTES, s.threshold - 8 * i)) - 1
+        gaps = bit_positions(
+            int.from_bytes(view[i:i + _GAP_BYTES], "little") ^ full, 8 * i)
+        if gaps:
+            sys.stdout.write(sep + ",".join(map(str, gaps)))
+            sep = ","
+    print(f"\nsymmetric: {s.is_symmetric()}")
     return 0
 
 

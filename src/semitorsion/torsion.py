@@ -17,8 +17,8 @@ neighbours of the original. Torsion totals, per-degree profiles and
 the component counts of a scan window all come from the engine;
 `fiber_graph` states the edge rule for one degree, for display. The
 independent reference uses neither the edge ints nor the counter: a
-bit flood fill of the fibers by generator steps, `fiber_class_count`
-over a window of degrees and `torsion_profile` over the whole scan
+bit flood fill of the fibers by generator steps, one lane per degree,
+`fiber_class_count` over a window and `torsion_profile` over the scan
 window.
 """
 
@@ -257,6 +257,9 @@ def torsion_profile(a: RelativeIdeal, b: RelativeIdeal) -> TorsionProfile:
     return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
 
 
+_LANE_BITS = 1 << 15  # bits of fill lanes per int: 4 KB stays in cache
+
+
 def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
                       hi: int) -> list[int]:
     """Tensor classes over each z in [lo, hi], by flood-filling the fibers.
@@ -266,44 +269,58 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
     in S. Generator steps suffice: if x and x + s are nodes with s = g1
     + ... + gk in S, each partial sum y = x + g1 + ... + gi is a node,
     as y is in A + S, inside A, and z - y = (z - x - s) + g(i+1) + ...
-    + gk is in B + S, inside B. A class grows by its newest nodes
-    shifted by each generator, and by the nodes more than F away, which
-    are always joined (prefix and suffix masks).
+    + gk is in B + S, inside B. So no mask joins nodes more than F
+    apart: on lanes it costs more per round than the rounds it saves.
 
-    A's bits and B's reversed bits are built once, over a frame ending
-    at the last degree to fill; the nodes over z are one shift and one
-    AND. Below min A + min B the fiber is empty. From z = A.threshold +
+    Each z has a byte-aligned lane, its nodes one shift and one AND of
+    A's bits and B's reversed bits, and one fill grows all lanes by the
+    same shifts. A lane spans the frame plus the largest generator (not
+    F: over <3,4,5> each exceeds F), so a step stays in its lane or
+    lands in the pad, which holds no node, nor does the top bit, the
+    guard. With bit 0 of each lane in `ones`, (rest | guard) - ones
+    borrows inside lanes only (SWAR): it clears each lane's lowest node
+    and keeps the guard of each lane with nodes. So an outer round seeds
+    every unfinished lane and adds 1 to its lane of the counter. Ints of
+    at most `_LANE_BITS` bits keep wide windows in cache.
+
+    Below min A + min B the fiber is empty. From z = A.threshold +
     B.threshold + 2F + 3 on the count is 1 without a fill: all of
     [A.threshold, z - B.threshold] are nodes, each more than F from one
     end of it, and the ends are more than F apart.
     """
     _check_over(a.semigroup, b)
-    f, gens = a.semigroup.frobenius, a.semigroup.generators
+    gens = a.semigroup.generators
     base = a.set.lo + b.set.lo
-    cut = a.set.threshold + b.set.threshold + 2 * f + 3
+    cut = a.set.threshold + b.set.threshold + 2 * a.semigroup.frobenius + 3
     counts = [0] * (min(hi + 1, base) - lo)
-    top = min(hi, cut - 1)
-    if max(lo, base) <= top:
+    first, top = max(lo, base), min(hi, cut - 1)
+    if first <= top:
         amask = a.set.window(a.set.lo, top - b.set.lo + 1)
         rev = reverse_bits(b.set.window(b.set.lo, top - a.set.lo + 1),
                            top - base + 1)
-        for z in range(max(lo, base), top + 1):
-            nodes = amask & (rev >> (top - z))
-            count = 0
-            while nodes:
-                cls = new = nodes & -nodes
+        size = max(4, (top - base + max(gens) + 8) // 8)  # bytes per lane
+        stride, one = 8 * size, (1).to_bytes(size, "little")
+        step = max(1, _LANE_BITS // stride)  # lanes per int
+        for z0 in range(first, top + 1, step):
+            zs = range(z0, min(z0 + step, top + 1))
+            rest = int.from_bytes(b"".join([
+                (amask & (rev >> (top - z))).to_bytes(size, "little")
+                for z in zs]), "little")
+            ones = int.from_bytes(one * len(zs), "little")
+            guard, tally = ones << (stride - 1), 0
+            while rest:
+                low = (rest | guard) - ones
+                tally += (low & guard) >> (stride - 1)
+                new = rest & ~low  # the lowest node of every lane
+                rest ^= new
                 while new:
-                    grown = -1 << ((new & -new).bit_length() + f)
-                    below = new.bit_length() - f - 1
-                    if below > 0:
-                        grown |= (1 << below) - 1
+                    grown = 0
                     for g in gens:
                         grown |= (new << g) | (new >> g)
-                    new = grown & nodes & ~cls
-                    cls |= new
-                nodes &= ~cls
-                count += 1
-            counts.append(count)
+                    new = grown & rest
+                    rest ^= new
+            counts += [c for c, in iter_unpack(
+                f"<I{size - 4}x", tally.to_bytes(size * len(zs), "little"))]
     return counts + [1] * (hi + 1 - max(lo, cut))
 
 

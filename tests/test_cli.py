@@ -4,11 +4,13 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import semitorsion
+from semitorsion import make_semigroup
 from semitorsion.cli import main
 
 
@@ -54,6 +56,33 @@ class TestInfo:
     def test_garbage(self, capsys):
         code, _, err = run(capsys, "info", "--semigroup", "4,x")
         assert code == 1 and "cannot parse" in err
+
+    def test_gap_line_streams(self, capsys):
+        # the line is written a window of membership bits at a time
+        s = make_semigroup([300, 301])
+        code, out, _ = run(capsys, "info", "--semigroup", "300,301")
+        assert code == 0
+        gaps = s.gaps()
+        assert out.splitlines()[3] == (f"gaps ({len(gaps)}): "
+                                       + ",".join(map(str, gaps)))
+
+    def test_gap_line_memory(self, monkeypatch):
+        # the gap line of <1000,1001> is 3.4 MB and its list of gaps
+        # larger; neither may be held at once
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        make_semigroup([1000, 1001])  # built and cached before tracing
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            code = main(["info", "--semigroup", "1000,1001"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20, peak
 
     def test_huge_generators(self, capsys):
         # the membership bound would need a shift past what Python allows;
@@ -190,10 +219,11 @@ class TestSearch:
 
 
 class TestPinnedStreams:
-    # every tiny stream and the full hw one must keep the benchmark's
-    # pinned record count and sha256, byte for byte
+    # every tiny stream and the full hw and oracle ones must keep the
+    # benchmark's pinned record count and sha256, byte for byte
     @pytest.mark.parametrize("workload, size", [
-        *((w, "tiny") for w in BENCH["WORKLOADS"]), ("hw", "full")])
+        *((w, "tiny") for w in BENCH["WORKLOADS"]), ("hw", "full"),
+        ("oracle", "full")])
     def test_stream_matches_pin(self, capsys, tmp_path, workload, size):
         out_path = tmp_path / "records.jsonl"
         argv = BENCH["campaign_argv"](workload, size, BENCH["PINNED_SEED"],

@@ -55,6 +55,21 @@ def test_one_fiber_edge_builder():
                      ("torsion.py", "fiber_graph")}, users
 
 
+def test_oracle_names_no_engine_code():
+    # the flood fill stays independent of the engine it checks: its lanes
+    # index degrees and its bits nodes, the engine's tuples and degrees
+    engine = {"TauEngine", "pack", "Lanes", "_reps", "_lane_counts",
+              "_component_reps"}
+    path = SRC / "torsion.py"
+    found = {}
+    for scope, name in _mentions(ast.parse(path.read_text(), str(path))):
+        if scope in ("fiber_class_count", "torsion_profile"):
+            found.setdefault(scope, set()).add(name)
+    assert set(found) == {"fiber_class_count", "torsion_profile"}, found
+    assert not {scope: names & engine for scope, names in found.items()
+                if names & engine}, found
+
+
 def test_bench_hooks_bind():
     # bench/spans.py wraps the traced layers by name, and reads the
     # engine's arguments; a refactor that renames, aliases or unbinds

@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semitorsion.torsion as torsion
 from conftest import naive_fiber_classes
@@ -12,6 +14,30 @@ from semitorsion import (CofiniteSet, SemigroupMismatchError, TauEngine,
                          make_ideal, make_semigroup, scan_window,
                          splits_torsion_free, torsion_bound_with_correction,
                          torsion_profile)
+
+
+@st.composite
+def lane_windows(draw):
+    """An ideal pair over <1>, <3,4,5> or a 3- or 4-generated semigroup,
+    and a window from below its first fiber to past its one-class bound."""
+    semi = draw(st.one_of(
+        st.sampled_from([[1], [3, 4, 5]]),
+        st.lists(st.integers(2, 30), min_size=3, max_size=4, unique=True)
+        .filter(lambda g: math.gcd(*g) == 1 and min(g) <= 6)))
+    s = make_semigroup(semi)
+    ideal = st.lists(st.integers(-6, s.frobenius + 8), min_size=1,
+                     max_size=3)
+    a, b = make_ideal(s, draw(ideal)), make_ideal(s, draw(ideal))
+    lo = a.min_gens[0] + b.min_gens[0] - draw(st.integers(1, 4))
+    hi = (a.set.threshold + b.set.threshold + 2 * s.frobenius
+          + draw(st.integers(3, 6)))
+    return a, b, lo, hi
+
+
+def naive_window(a, b, lo, hi):
+    return [naive_fiber_classes(list(a.semigroup.generators),
+                                list(a.min_gens), list(b.min_gens), z)
+            for z in range(lo, hi + 1)]
 
 
 @pytest.fixture
@@ -258,6 +284,38 @@ class TestFiberClassCount:
                               for c in fiber_class_count(a, b, z, z)], (lo, hi)
         for lo, hi in [(5, 4), (50, 10), (bound + 3, bound)]:
             assert fiber_class_count(a, b, lo, hi) == [], (lo, hi)
+
+    @given(lane_windows())
+    @settings(max_examples=60, deadline=None)
+    def test_lanes_match_naive(self, window):
+        # one fill over every degree, each in its own lane
+        assert fiber_class_count(*window) == naive_window(*window)
+
+    @pytest.mark.parametrize("semi,ga,gb", [
+        ([2, 29], [4, 11], [53, 54]),
+        ([4, 14, 27], [-5, 0], [-4, 13]),
+        ([5, 29, 37, 38], [0, 13], [20, 32]),
+    ])
+    def test_lane_pad_holds_largest_generator(self, semi, ga, gb):
+        # a lane sized by the window alone lets a step by a large
+        # generator cross into the next lane; over its scan window each
+        # of these pairs catches it
+        s = make_semigroup(semi)
+        a, b = make_ideal(s, ga), make_ideal(s, gb)
+        lo, hi = scan_window(a, b)
+        cut = a.set.threshold + b.set.threshold + 2 * s.frobenius + 3
+        for window in [(lo, hi), (lo - 1, cut + 1)]:
+            assert (fiber_class_count(a, b, *window)
+                    == naive_window(a, b, *window)), window
+
+    def test_wide_window_matches_engine(self):
+        # 852 lanes of over 850 bits each need many ints of `_LANE_BITS`
+        s = make_semigroup([29, 31])
+        a, b = make_ideal(s, [0, 5]), make_ideal(s, [0, 7])
+        lo, hi = scan_window(a, b)
+        assert hi - lo + 1 == 852
+        assert fiber_class_count(a, b, lo, hi) == TauEngine(
+            s).component_counts(a.min_gens, b.min_gens)
 
     @pytest.mark.parametrize("semi,ga,gb", [
         ([5, 11], [20, 21, 22], [0, 23, 24]),
