@@ -14,6 +14,7 @@ from itertools import compress
 from typing import Iterable
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def bit_positions(bits: int, offset: int = 0) -> list[int]:
@@ -23,8 +24,13 @@ def bit_positions(bits: int, offset: int = 0) -> list[int]:
 
 
 def reverse_bits(bits: int, width: int) -> int:
-    """Bit i of the result is bit width - 1 - i of `bits` (< 2**width)."""
-    return int(format(bits, f"0{width}b")[::-1], 2)
+    """Bit i of the result is bit width - 1 - i of `bits` (< 2**width).
+
+    Flipping each byte by table and then the byte order reverses
+    8 * size bits; the shift drops the pad above `width`."""
+    size = (width + 7) // 8
+    flipped = bits.to_bytes(size, "little").translate(_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * size - width)
 
 
 class CofiniteSet:

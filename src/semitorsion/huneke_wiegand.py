@@ -9,16 +9,23 @@ probed predicts a positive count for every gap n of S.
 
 P + P = G + P for the minimal generators G of P: P + S lies in P, so
 p + q = g + (s + q) whenever p = g + s. G has at most multiplicity
-members, so the sum ORs a few shifted heads of P, not one per member.
+members, so the sum ORs a few shifted copies of P, not one per member.
+
+The scan needs only the window [0, w), w = 2F + 2, read as plain ints.
+P holds every x > F, so min P <= F + 1 and P + P holds every
+x >= min P + F + 1, hence T minus (P + P) lies below w. Only the
+members of G below F + 1 matter there: a sum g + q < w with g > F has
+g + q - min P > F in P, so it is also min P + (g + q - min P), and
+then min P <= F is in G. Whether x is in G reads P only below x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cofinite import CofiniteSet
+from .cofinite import CofiniteSet, bit_positions
 from .ideals import ideal_dual, make_ideal
-from .semigroup import NumericalSemigroup, _generator_bits
+from .semigroup import NumericalSemigroup
 
 __all__ = [
     "TripleReport",
@@ -36,51 +43,66 @@ class RouteDisagreementError(RuntimeError):
     """The direct triple scan and the dual-quotient route disagreed."""
 
 
-def _progressions(s: NumericalSemigroup,
-                  n: int) -> tuple[CofiniteSet, CofiniteSet]:
-    """{x : x, x + n in S} and {x : x, x + n, x + 2n in S}.
-
-    Both contain every x > F. Over [0, F] they are M & (M >> n) and
-    M & (M >> n) & (M >> 2n) for the membership bits M of S.
-    """
-    if n <= 0:
-        raise ValueError(f"step must be positive, got {n}")
-    t = s.frobenius + 1
-    m = s.window(0, t + 2 * n)
-    bits = m & (m >> n)
-    return (CofiniteSet.from_bits(t, 0, bits),
-            CofiniteSet.from_bits(t, 0, bits & (m >> 2 * n)))
-
-
 def pairs_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
     """{x : x in S and x + n in S}; contains every x > F."""
-    return _progressions(s, n)[0]
+    return irreducible_triples(s, n).pairs
 
 
 def triples_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
     """{x : x, x + n and x + 2n in S}; contains every x > F."""
-    return _progressions(s, n)[1]
+    return irreducible_triples(s, n).triples
 
 
-@dataclass(frozen=True)
 class TripleReport:
-    step: int
-    pairs: CofiniteSet
-    triples: CofiniteSet
-    irreducible: tuple[int, ...]
-    count: int
+    """P, T and the irreducible starts T minus (P + P) as bits over
+    [0, 2F + 2), with the count and least start (None when there is
+    none); the sets and the tuple are built from the bits when read."""
+
+    __slots__ = ("step", "count", "least", "_threshold", "_p", "_tri", "_irr")
+
+    def __init__(self, step: int, threshold: int, p: int, tri: int,
+                 irr: int):
+        self.step, self._threshold = step, threshold
+        self._p, self._tri, self._irr = p, tri, irr
+        self.count = irr.bit_count()
+        self.least = (irr & -irr).bit_length() - 1 if irr else None
+
+    @property
+    def pairs(self) -> CofiniteSet:
+        return CofiniteSet.from_bits(self._threshold, 0, self._p)
+
+    @property
+    def triples(self) -> CofiniteSet:
+        return CofiniteSet.from_bits(self._threshold, 0, self._tri)
+
+    @property
+    def irreducible(self) -> tuple[int, ...]:
+        return tuple(bit_positions(self._irr))
 
 
 def irreducible_triples(s: NumericalSemigroup, n: int) -> TripleReport:
     """Triples (x, x+n, x+2n) in S that are not sums of two pairs.
 
-    P + P = G + P for the minimal generators G of P, since P + S lies in
-    P and each p in P is g + s; G with P's tail still sums to P + P.
+    Over the window [0, 2F + 2) of the module docstring, P and T are
+    ANDs of three windows of S, at 0, n and 2n, so the cost does not
+    grow with n. G = P & ~OR(P << g) over [0, F + 1) for the generators
+    g of S, and G + P ORs P shifted by each bit of G. S = <1> has an
+    empty window.
     """
-    p, t = _progressions(s, n)
-    gens = CofiniteSet.from_bits(p.threshold, p.lo, _generator_bits(s, p))
-    irr = tuple(t.difference(gens.sumset(p)))
-    return TripleReport(n, p, t, irr, len(irr))
+    if n <= 0:
+        raise ValueError(f"step must be positive, got {n}")
+    w = 2 * s.frobenius + 2
+    p = s.window(0, w) & s.window(n, n + w)
+    tri = p & s.window(2 * n, 2 * n + w)
+    gens = head = p & ((1 << (s.frobenius + 1)) - 1)
+    for g in s.generators:
+        gens &= ~(head << g)
+    k = 0
+    while gens:
+        low = gens & -gens
+        k |= p << (low.bit_length() - 1)
+        gens ^= low
+    return TripleReport(n, s.frobenius + 1, p, tri, tri & ~k)
 
 
 def torsion_length_2gen(s: NumericalSemigroup, n: int) -> int:
@@ -131,8 +153,8 @@ def hw_check_semigroup(s: NumericalSemigroup) -> HWReport:
     for n in s.gaps():
         report = irreducible_triples(s, n)
         per_gap[n] = report.count
-        if report.irreducible:
-            min_irr[n] = report.irreducible[0]
+        if report.least is not None:
+            min_irr[n] = report.least
     return HWReport(
         semigroup=s.generators,
         per_gap=per_gap,

@@ -80,24 +80,19 @@ class NumericalSemigroup(CofiniteSet):
         return f"NumericalSemigroup({list(self.generators)})"
 
 
-def _generator_bits(s: NumericalSemigroup, cset: CofiniteSet) -> int:
-    """Bit i set iff cset.lo + i minimally generates `cset` (closed under +s).
+def minimal_generators_of_set(s: NumericalSemigroup,
+                              cset: CofiniteSet) -> tuple[int, ...]:
+    """Minimal generators of a cofinite set that is closed under adding s.
 
     A member is a generator iff subtracting any generator of s (any
     generating set serves, minimal or not) leaves the set; none lies at
     or above threshold + multiplicity, since subtracting the multiplicity
     stays in the tail. Over that window they are own & ~OR(own << n).
     """
-    bits = own = cset.window(cset.lo, cset.threshold + s.multiplicity)
+    lo, out = cset.lo, []
+    bits = own = cset.window(lo, cset.threshold + s.multiplicity)
     for n in s.generators:
         bits &= ~(own << n)
-    return bits
-
-
-def minimal_generators_of_set(s: NumericalSemigroup,
-                              cset: CofiniteSet) -> tuple[int, ...]:
-    """Minimal generators of a cofinite set that is closed under adding s."""
-    lo, bits, out = cset.lo, _generator_bits(s, cset), []
     while bits:  # at most multiplicity bits: read them off one by one
         out.append(lo + (bits & -bits).bit_length() - 1)
         bits &= bits - 1

@@ -2,12 +2,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semitorsion import CofiniteSet, make_semigroup
+from semitorsion.cofinite import reverse_bits
 
 cofinite_sets = st.builds(
     CofiniteSet,
     st.integers(-8, 20),
     st.lists(st.integers(-15, 25), max_size=10),
 )
+
+
+@st.composite
+def bits_and_width(draw):
+    """A width in 0..300 (most not multiples of 8) and a value below
+    2**width whose top bits are often zero."""
+    width = draw(st.integers(0, 300))
+    value = draw(st.integers(0, (1 << width) - 1))
+    return value >> draw(st.integers(0, width)), width
+
+
+@given(bits_and_width())
+@settings(max_examples=300)
+def test_reverse_bits_matches_string(case):
+    bits, width = case
+    assert reverse_bits(bits, width) == int(format(bits, f"0{width}b")[::-1], 2)
 
 
 def brute_members(c: CofiniteSet, lo: int, hi: int) -> set[int]:

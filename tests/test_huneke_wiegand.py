@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,7 @@ class TestIrreducibleTriples:
         assert report.pairs == p and report.triples == t
         assert report.irreducible == expected
         assert report.count == len(expected)
+        assert report.least == (expected[0] if expected else None)
         assert len(minimal_generators_of_set(s, p)) <= s.multiplicity
 
     def test_window_bound(self):
@@ -110,6 +112,22 @@ class TestIrreducibleTriples:
                 top = report.pairs.lo + s.frobenius + 1
                 assert report.irreducible[0] >= report.triples.lo
                 assert report.irreducible[-1] < top
+
+
+@pytest.mark.parametrize("route", [
+    lambda s, n: irreducible_triples(s, n).count, torsion_length_2gen])
+def test_cost_independent_of_step(route):
+    # both routes read S near 0, n and 2n only: a window of F + 2n bits
+    # would be 250 GB here
+    s = make_semigroup([5, 7])
+    tracemalloc.start()
+    try:
+        count = route(s, 10 ** 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 0
+    assert peak < 1 << 20, peak
 
 
 class TestTorsionLength:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitorsion import CofiniteSet, apery_set, make_ideal, make_semigroup
+from semitorsion import (CofiniteSet, NumericalSemigroup, apery_set,
+                         make_ideal, make_semigroup)
 
 from conftest import knapsack_members, naive_ideal_members
 
@@ -169,6 +171,18 @@ class TestSymmetry:
             for b in range(a + 1, 41 // a + 1):
                 if math.gcd(a, b) == 1:
                     assert make_semigroup([a, b]).is_symmetric(), (a, b)
+
+    def test_large_build_memory(self):
+        # 9 M membership bits (1.1 MB): the symmetry check reverses
+        # them without a byte or character per bit
+        tracemalloc.start()
+        try:
+            s = NumericalSemigroup([3000, 3001])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.is_symmetric()
+        assert peak < 12 << 20, peak
 
     @given(small_semigroups)
     @settings(max_examples=150, deadline=None)

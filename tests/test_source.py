@@ -70,40 +70,62 @@ def test_oracle_names_no_engine_code():
                 if names & engine}, found
 
 
+def test_triple_scan_names_no_set_algebra():
+    # the direct scan stays on ints, apart from the dual route that
+    # torsion_length_2gen and the bench checker compare it with
+    dual_route = {"sumset", "difference", "ideal_dual", "make_ideal",
+                  "_progressions"}
+    path = SRC / "huneke_wiegand.py"
+    names = {name for scope, name in
+             _mentions(ast.parse(path.read_text(), str(path)))
+             if scope == "irreducible_triples"}
+    assert names and not names & dual_route, names & dual_route
+
+
 def test_bench_hooks_bind():
     # bench/spans.py wraps the traced layers by name, and reads the
     # engine's arguments; a refactor that renames, aliases or unbinds
     # one, or changes what the engine is called with, must fail here,
-    # not only in the benchmark. Each layer is counted over one campaign.
+    # not only in the benchmark. Each layer is counted over one campaign,
+    # and the set algebra over the dual route that bench/check.py uses.
     root = SRC.parents[1]
     campaigns = [  # search arguments after --ab-max 20, layers to enter
         [["--mode", "half-mu-bound", "--mu-max", "3"], ["search.engine"]],
         [["--mode", "dual-consistency", "--mu-max", "2"],
          ["search.enumerate", "ideals.make_ideal",
           "hypersurface.dual_formula"]],
-        [["--mode", "hw"], ["huneke_wiegand.irreducible_triples",
-                            "cofinite.sumset"]],
+        [["--mode", "hw"], ["huneke_wiegand.irreducible_triples"]],
         [["--mode", "oracle-compare", "--mu-max", "3", "--samples", "20"],
          ["search.enumerate", "torsion.fiber_class_count"]],
     ]
     code = ("import json, sys; sys.path[:0] = sys.argv[1:3]\n"
             "import semitorsion.cli, spans\n"
+            "from semitorsion import make_semigroup, torsion_length_2gen\n"
             "tracer = spans.install()\n"
-            "for args, layers in json.loads(sys.argv[3]):\n"
+            "def count(run, layers):\n"
             "    before = tracer.summary()\n"
-            "    code = semitorsion.cli.main(['search', '--ab-max', '20', "
-            "*args])\n"
+            "    out = run()\n"
             "    after = tracer.summary()\n"
-            "    print(json.dumps([code] + [after[k]['calls'] - "
-            "before[k]['calls'] for k in layers]))\n")
+            "    print(json.dumps([out] + [after[k]['calls'] - "
+            "before[k]['calls'] for k in layers]))\n"
+            "for args, layers in json.loads(sys.argv[3]):\n"
+            "    count(lambda: semitorsion.cli.main(['search', '--ab-max', "
+            "'20', *args]), layers)\n"
+            "count(lambda: torsion_length_2gen(make_semigroup([5, 7]), 1), "
+            "['cofinite.sumset', 'cofinite.difference'])\n")
     done = subprocess.run([sys.executable, "-c", code, str(root / "src"),
                            str(root / "bench"), json.dumps(campaigns)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     found = [json.loads(line) for line in done.stdout.splitlines()
              if line.startswith("[")]
-    assert len(found) == len(campaigns), done.stdout
+    assert len(found) == len(campaigns) + 1, done.stdout
     for (args, layers), (code, *calls) in zip(campaigns, found):
         assert code == 0, args
         assert all(c > 0 for c in calls), (args, dict(zip(layers, calls)))
+    # one scan per gap: <2,3>, <2,5>, <2,7>, <2,9>, <3,4>, <3,5>, <4,5>
+    # have genera 1 + 2 + 3 + 4 + 3 + 4 + 6
+    assert found[2][1:] == [23], found[2]
+    count, sumsets, differences = found[-1]
+    assert count == 12 and sumsets > 0 and differences > 0, found[-1]
     assert semitorsion.search.TauEngine is semitorsion.torsion.TauEngine
