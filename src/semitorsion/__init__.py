@@ -9,13 +9,14 @@ from .hypersurface import (BoundaryCycle, HalfMuReport, HypersurfaceSemigroup,
                            ordered_generators, torsion_generator_pairs)
 from .huneke_wiegand import (HWReport, RouteDisagreementError, TripleReport,
                              hw_check_semigroup, irreducible_triples,
-                             pairs_set, torsion_length_2gen, triples_set)
+                             torsion_length_2gen)
 from .ideals import (RelativeIdeal, SemigroupMismatchError, apery_set,
                      ideal_dual, ideal_intersect, ideal_shift, ideal_sum,
-                     make_ideal, minimal_generators_of_set)
+                     make_ideal)
 from .search import (MODES, SearchSpec, SearchSummary, canonical_ideal_gens,
                      coprime_pairs, run_search)
-from .semigroup import NumericalSemigroup, make_semigroup
+from .semigroup import (NumericalSemigroup, make_semigroup,
+                        minimal_generators_of_set)
 from .torsion import (FiberGraph, TauEngine, TorsionProfile, fiber_class_count,
                       fiber_graph, graph_to_dot, scan_window,
                       splits_torsion_free, torsion_bound_with_correction,
@@ -65,8 +66,6 @@ __all__ = [
     "dual_symmetric",
     "check_half_mu_bound",
     "torsion_generator_pairs",
-    "pairs_set",
-    "triples_set",
     "irreducible_triples",
     "torsion_length_2gen",
     "hw_check_semigroup",

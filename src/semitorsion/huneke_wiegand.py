@@ -27,30 +27,9 @@ from .cofinite import CofiniteSet, bit_positions
 from .ideals import ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup
 
-__all__ = [
-    "TripleReport",
-    "HWReport",
-    "RouteDisagreementError",
-    "pairs_set",
-    "triples_set",
-    "irreducible_triples",
-    "torsion_length_2gen",
-    "hw_check_semigroup",
-]
-
 
 class RouteDisagreementError(RuntimeError):
     """The direct triple scan and the dual-quotient route disagreed."""
-
-
-def pairs_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
-    """{x : x in S and x + n in S}; contains every x > F."""
-    return irreducible_triples(s, n).pairs
-
-
-def triples_set(s: NumericalSemigroup, n: int) -> CofiniteSet:
-    """{x : x, x + n and x + 2n in S}; contains every x > F."""
-    return irreducible_triples(s, n).triples
 
 
 class TripleReport:

@@ -20,22 +20,6 @@ from .ideals import (RelativeIdeal, _check_over, _from_set, apery_set,
 from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import TauEngine
 
-__all__ = [
-    "HypersurfaceSemigroup",
-    "LatticeClass",
-    "OrderedGenerators",
-    "BoundaryCycle",
-    "make_hypersurface",
-    "lattice_normalize",
-    "ordered_generators",
-    "boundary_cycle",
-    "dual_formula",
-    "dual_symmetric",
-    "check_half_mu_bound",
-    "torsion_generator_pairs",
-    "HalfMuReport",
-]
-
 
 @dataclass(frozen=True)
 class LatticeClass:

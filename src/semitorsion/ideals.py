@@ -14,18 +14,6 @@ from typing import Iterable, Union
 from .cofinite import CofiniteSet, bit_positions
 from .semigroup import NumericalSemigroup, minimal_generators_of_set
 
-__all__ = [
-    "RelativeIdeal",
-    "SemigroupMismatchError",
-    "make_ideal",
-    "ideal_sum",
-    "ideal_intersect",
-    "ideal_dual",
-    "ideal_shift",
-    "apery_set",
-    "minimal_generators_of_set",
-]
-
 
 class SemigroupMismatchError(ValueError):
     """Raised when combining ideals defined over different semigroups."""

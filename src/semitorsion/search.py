@@ -38,15 +38,6 @@ from .ideals import RelativeIdeal, ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import TauEngine, fiber_class_count, scan_window
 
-__all__ = [
-    "SearchSpec",
-    "SearchSummary",
-    "MODES",
-    "coprime_pairs",
-    "canonical_ideal_gens",
-    "run_search",
-]
-
 MODES = ("half-mu-bound", "dual-consistency", "hw", "oracle-compare")
 
 
@@ -323,7 +314,12 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         if out is not None:
             out.close()
             if done:
-                os.replace(part, spec.output_path)
+                try:
+                    os.replace(part, spec.output_path)
+                except OSError as exc:  # as for open: name the path asked for
+                    os.remove(part)
+                    raise OSError(exc.errno, exc.strerror,
+                                  spec.output_path) from None
             else:
                 os.remove(part)
     return summary

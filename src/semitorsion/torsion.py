@@ -35,18 +35,6 @@ from .ideals import (RelativeIdeal, _check_over, ideal_intersect, ideal_sum,
                      make_ideal)
 from .semigroup import NumericalSemigroup
 
-__all__ = [
-    "FiberGraph",
-    "TorsionProfile",
-    "TauEngine",
-    "fiber_graph",
-    "torsion_profile",
-    "fiber_class_count",
-    "splits_torsion_free",
-    "torsion_bound_with_correction",
-    "graph_to_dot",
-]
-
 
 def _component_reps(edges: list[list[int]]) -> list[int]:
     """Least-indexed left vertex of each component, for many graphs at once.

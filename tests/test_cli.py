@@ -195,6 +195,19 @@ class TestSearch:
         assert err.count("\n") == 1 and "No such file" in err
         assert f"'{target}'" in err and ".part" not in err
 
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        # the rename fails after the last record: the part file goes and
+        # the message names the directory
+        target = tmp_path / "records"
+        (target / "kept").mkdir(parents=True)
+        code, _, err = run(capsys, "search", "--mode", "hw", "--ab-max", "10",
+                           "--out", str(target))
+        assert code == 1
+        assert err.count("\n") == 1 and f"'{target}'" in err
+        assert ".part" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
+
     @pytest.mark.parametrize("flag,value,name", [
         ("--ab-max", "5", "ab_max"), ("--mu-max", "0", "mu_max"),
         ("--jobs", "0", "--jobs"), ("--gen-window", "-1", "gen_window"),

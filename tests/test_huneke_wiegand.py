@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semitorsion import (CofiniteSet, hw_check_semigroup, irreducible_triples,
-                         make_semigroup, minimal_generators_of_set, pairs_set,
-                         torsion_length_2gen, triples_set)
+                         make_semigroup, minimal_generators_of_set,
+                         torsion_length_2gen)
 
 
 small_semigroups = st.lists(st.integers(2, 20), min_size=2, max_size=3).filter(
@@ -33,24 +33,25 @@ def semigroup_and_step(draw):
 class TestPairsSet:
     def test_57_step_one(self):
         # consecutive runs of <5,7> are {14,15}, {19..22}, {24,->}
-        assert pairs_set(make_semigroup([5, 7]), 1) == CofiniteSet(
-            24, [14, 19, 20, 21])
+        assert irreducible_triples(make_semigroup([5, 7]), 1).pairs == (
+            CofiniteSet(24, [14, 19, 20, 21]))
 
     def test_step_above_frobenius(self):
         s = make_semigroup([5, 7])
         members = CofiniteSet(s.frobenius + 1, s.members_upto(s.frobenius))
         for n in (24, 25, 100):
-            assert pairs_set(s, n) == members
+            assert irreducible_triples(s, n).pairs == members
 
     def test_23(self):
-        assert pairs_set(make_semigroup([2, 3]), 1) == CofiniteSet(2)
+        assert irreducible_triples(make_semigroup([2, 3]), 1).pairs == (
+            CofiniteSet(2))
 
     @given(small_semigroups, st.integers(1, 60))
     @settings(max_examples=150, deadline=None)
     def test_progressions_vs_scan(self, s, n):
         top = s.frobenius + 2 * n + 3
-        pairs = pairs_set(s, n)
-        triples = triples_set(s, n)
+        report = irreducible_triples(s, n)
+        pairs, triples = report.pairs, report.triples
         for x in range(-2 * n - 3, top):
             in_pair = s.contains(x) and s.contains(x + n)
             assert (x in pairs) == in_pair, x
@@ -60,9 +61,9 @@ class TestPairsSet:
         s = make_semigroup([2, 3])
         for n in (0, -1):
             with pytest.raises(ValueError):
-                pairs_set(s, n)
+                irreducible_triples(s, n).pairs
             with pytest.raises(ValueError):
-                triples_set(s, n)
+                irreducible_triples(s, n).triples
 
 
 class TestIrreducibleTriples:
@@ -93,9 +94,14 @@ class TestIrreducibleTriples:
     @given(semigroup_and_step())
     @settings(max_examples=200, deadline=None)
     def test_matches_plain_self_sum(self, case):
-        # the generator route against the definition T \ (P + P)
+        # the generator route against the definition T \ (P + P), with
+        # P and T read from membership in S
         s, n = case
-        p, t = pairs_set(s, n), triples_set(s, n)
+        f = s.frobenius
+        p = CofiniteSet(f + 1, [x for x in range(f + 1)
+                                if x in s and x + n in s])
+        t = CofiniteSet(f + 1, [x for x in range(f + 1)
+                                if x in s and x + n in s and x + 2 * n in s])
         expected = tuple(t.difference(p.sumset(p)))
         report = irreducible_triples(s, n)
         assert report.pairs == p and report.triples == t

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import semitorsion.search
 import semitorsion.torsion
 
@@ -20,6 +22,32 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_one_public_list():
+    # the package __init__ is the only list of public names: no module
+    # keeps its own __all__, and __all__ names what __init__ imports
+    owners = [path.name for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Name) and node.id == "__all__"
+              and isinstance(node.ctx, ast.Store)]
+    assert owners == ["__init__.py"], owners
+    public = semitorsion.__all__
+    assert len(public) == len(set(public)), public
+    missing = [name for name in public if not hasattr(semitorsion, name)]
+    assert not missing, missing
+    init = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert imported == set(public), (imported ^ set(public))
+
+
+def test_one_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert semitorsion.__version__ == project["version"]
 
 
 def _mentions(node, scope=""):
