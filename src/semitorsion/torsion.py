@@ -13,13 +13,15 @@ runs the bit-parallel component counter `_component_reps` on all of
 them at once. Slices share a packing, so a campaign packs a semigroup's
 ideals once and calls the engine once per ideal. A short tuple repeats
 its last generator, which is exact: the copied right vertex has the
-neighbours of the original. Torsion totals, per-degree profiles and
-the component counts of a scan window all come from the engine;
-`fiber_graph` states the edge rule for one degree, for display. The
-independent reference uses neither the edge ints nor the counter: a
-bit flood fill of the fibers by generator steps, one lane per degree,
-`fiber_class_count` over a window and `torsion_profile` over the scan
-window.
+neighbours of the original. One multiply sums the byte popcounts of
+every lane up to 248 bits (k bytes sum to at most 8k < 256, no carry);
+wider lanes, such as the 368-bit ones of <11,29>, count one by one.
+Torsion totals, per-degree profiles and the component counts of a scan
+window all come from the engine; `fiber_graph` states the edge rule
+for one degree, for display. The independent reference uses neither
+the edge ints nor the counter: a bit flood fill of the fibers by
+generator steps, one lane per degree, `fiber_class_count` over a
+window and `torsion_profile` over the scan window.
 """
 
 from __future__ import annotations
@@ -147,6 +149,8 @@ class TauEngine:
                           ) -> tuple[list[int], list[int]]:
         """(tau totals, support sizes) of (ga, gb) per gb; sorted minimal
         tuples of any lengths, as a list or as the `Lanes` of `pack`."""
+        if not gbs:
+            return [], []
         stride, _, reps = self._reps(ga, gbs)
         tau = [0] * len(gbs)
         multi = 0  # the degrees with more than one component
@@ -154,7 +158,7 @@ class TauEngine:
         for e in map(and_, reps[1:], accumulate(reps, or_)):
             tau = list(map(add, tau, _lane_counts(e, len(gbs), stride)))
             multi |= e
-        return tau, _lane_counts(multi, len(gbs), stride)
+        return tau, list(_lane_counts(multi, len(gbs), stride))
 
     def component_counts(self, ga: tuple[int, ...],
                          gb: tuple[int, ...]) -> list[int]:
@@ -175,11 +179,23 @@ class TauEngine:
         return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
 
 
-def _lane_counts(bits: int, lanes: int, stride: int) -> list[int]:
-    """Set bits in each byte-aligned lane of `bits`, lowest lane first."""
-    view = bits.to_bytes(lanes * stride // 8, "little")
-    return [int.from_bytes(lane, "little").bit_count()
-            for lane, in iter_unpack(f"{stride // 8}s", view)]
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+
+
+def _lane_counts(bits: int, lanes: int, stride: int) -> Sequence[int]:
+    """Set bits in each byte-aligned lane of `bits`, lowest lane first.
+
+    Byte popcounts times the k-byte repunit sum each k-byte lane in its
+    top byte (SWAR): at most 8k, which cannot carry while stride <= 248.
+    """
+    k = stride // 8
+    view = bits.to_bytes(lanes * k, "little")
+    if stride > 248:
+        return [int.from_bytes(lane, "little").bit_count()
+                for lane, in iter_unpack(f"{k}s", view)]
+    sums = int.from_bytes(view.translate(_POPCOUNT), "little")
+    sums *= int.from_bytes(b"\1" * k, "little")
+    return sums.to_bytes((lanes + 1) * k, "little")[k - 1:lanes * k:k]
 
 
 @dataclass(frozen=True)

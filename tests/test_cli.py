@@ -232,11 +232,11 @@ class TestSearch:
 
 
 class TestPinnedStreams:
-    # every tiny stream and the full hw and oracle ones must keep the
-    # benchmark's pinned record count and sha256, byte for byte
+    # every tiny stream and the full half-mu, hw and oracle ones must
+    # keep the benchmark's pinned record count and sha256, byte for byte
     @pytest.mark.parametrize("workload, size", [
-        *((w, "tiny") for w in BENCH["WORKLOADS"]), ("hw", "full"),
-        ("oracle", "full")])
+        *((w, "tiny") for w in BENCH["WORKLOADS"]), ("half-mu", "full"),
+        ("hw", "full"), ("oracle", "full")])
     def test_stream_matches_pin(self, capsys, tmp_path, workload, size):
         out_path = tmp_path / "records.jsonl"
         argv = BENCH["campaign_argv"](workload, size, BENCH["PINNED_SEED"],

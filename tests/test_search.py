@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import multiprocessing.pool
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,7 @@ import semitorsion.search as search
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
                          coprime_pairs, ideal_shift, make_ideal,
                          make_semigroup, run_search, torsion_profile)
+from semitorsion.torsion import _lane_counts
 
 
 def written_records(path) -> list[dict]:
@@ -157,6 +159,38 @@ class TestTauEngine:
         for gb, t, c in zip(group, taus, supports):
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
             assert (int(t), int(c)) == (profile.total, profile.support_size), gb
+
+    @pytest.mark.parametrize("lanes", [1, 2, 7, 64])
+    def test_lane_counts_exact(self, lanes):
+        # both sides of the switch at 248 bits: all-ones lanes make the
+        # byte sums as large as they get, 8 per byte
+        rng = random.Random(lanes)
+        for stride in range(8, 321, 8):
+            mask, n = (1 << stride) - 1, stride * lanes
+            for bits in ((1 << n) - 1, rng.getrandbits(n) | rng.getrandbits(n)):
+                expected = [(bits >> i * stride & mask).bit_count()
+                            for i in range(lanes)]
+                assert list(_lane_counts(bits, lanes, stride)) == expected, \
+                    stride
+
+    def test_wide_lanes_agree_with_profile(self):
+        # F = 279: lanes wider than the 248 bits of the one-multiply count
+        s = make_semigroup([11, 29])
+        engine = TauEngine(s)
+        ga, gbs = (0, 12, 35), canonical_ideal_gens(s, 11, 3)
+        packed = engine.pack(gbs, ga[-1] - ga[0])
+        assert packed.stride == 368
+        expected = []
+        for gb in gbs:
+            profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
+            expected.append((profile.total, profile.support_size))
+        assert list(zip(*engine.tau_support_batch(ga, packed))) == expected
+
+    def test_empty_batch(self):
+        engine = TauEngine(make_semigroup([2, 3]))
+        assert engine.tau_support_batch((0, 1), []) == ([], [])
+        packed = engine.pack([(0,), (0, 1)], 1)
+        assert engine.tau_support_batch((0, 1), packed[2:]) == ([], [])
 
     def test_non_canonical_tuples(self):
         s = make_semigroup([5, 7])
