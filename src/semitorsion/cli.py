@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 from .cofinite import bit_positions
 from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
@@ -96,16 +97,8 @@ def cmd_hw(args) -> int:
 
 
 def cmd_search(args) -> int:
-    spec = SearchSpec(
-        ab_max=args.ab_max,
-        mode=args.mode,
-        gen_window=args.gen_window,
-        mu_max=args.mu_max,
-        output_path=args.out,
-        parallelism=args.jobs,
-        seed=args.seed,
-        samples=args.samples,
-    )
+    spec = SearchSpec(**{f.name: getattr(args, f.name)
+                         for f in fields(SearchSpec)})
     summary = run_search(spec)
     print(f"mode: {summary.mode}")
     print(f"records: {summary.records}")
@@ -114,8 +107,8 @@ def cmd_search(args) -> int:
         print(f"{key}: {summary.stats[key]}")
     for record in summary.violations[:10]:
         print(f"VIOLATION: {json.dumps(record, sort_keys=True)}")
-    if args.out:
-        print(f"wrote: {args.out}")
+    if spec.output_path:
+        print(f"wrote: {spec.output_path}")
     return 0 if summary.ok else 2
 
 
@@ -153,18 +146,21 @@ def build_parser() -> _Parser:
 
     p_search = sub.add_parser("search", help="verification campaigns")
     p_search.add_argument("--mode", required=True, choices=MODES)
-    p_search.add_argument("--ab-max", type=int, default=35)
-    p_search.add_argument("--gen-window", type=int, default=0,
+    p_search.add_argument("--ab-max", type=int)
+    p_search.add_argument("--gen-window", type=int,
                           help="ideal generator window width (0: a+b)")
-    p_search.add_argument("--mu-max", type=int, default=3)
-    p_search.add_argument("--jobs", type=int, default=1,
-                          help="worker processes")
-    p_search.add_argument("--out", default=None,
+    p_search.add_argument("--mu-max", type=int)
+    p_search.add_argument("--jobs", type=int, dest="parallelism",
+                          metavar="JOBS", help="worker processes")
+    p_search.add_argument("--out", dest="output_path", metavar="OUT",
                           help="JSON-lines output path")
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--samples", type=int, default=200,
+    p_search.add_argument("--seed", type=int)
+    p_search.add_argument("--samples", type=int,
                           help="tuples drawn in oracle-compare mode")
-    p_search.set_defaults(func=cmd_search)
+    # SearchSpec's defaults, set after the arguments so that they take them
+    p_search.set_defaults(func=cmd_search, **{
+        f.name: f.default for f in fields(SearchSpec)
+        if f.default is not MISSING})
     return parser
 
 

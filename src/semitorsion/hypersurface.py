@@ -119,7 +119,7 @@ def boundary_cycle(h: HypersurfaceSemigroup,
     for g in sorted(apery_set(ideal, h.a + h.b)):
         p = lattice_normalize(h, g)
         entries.append((_cyclic_key(h, p), p, g))
-    entries.sort()
+    entries.sort(key=lambda e: e[0])  # classes do not order: keys only
     keys = tuple(k for k, _, _ in entries)
     if len(set(keys)) != len(keys):
         raise RuntimeError(f"duplicate cyclic keys in boundary of {ideal!r}")
@@ -145,13 +145,12 @@ def dual_formula(h: HypersurfaceSemigroup,
     return make_ideal(h.base, gens)
 
 
-def dual_symmetric(s_or_h: HypersurfaceSemigroup | NumericalSemigroup,
+def dual_symmetric(s: NumericalSemigroup,
                    ideal: RelativeIdeal) -> RelativeIdeal:
     """Dual via the reflection z in dual iff F - z not in the ideal.
 
     Valid exactly over symmetric semigroups.
     """
-    s = s_or_h.base if isinstance(s_or_h, HypersurfaceSemigroup) else s_or_h
     _check_over(s, ideal)
     if not s.is_symmetric():
         raise ValueError(f"{s!r} is not symmetric")

@@ -79,11 +79,11 @@ def canonical_ideal_gens(s: NumericalSemigroup, window: int,
 
 
 @dataclass
-class SearchSpec:
-    ab_max: int
+class SearchSpec:  # the CLI's `search` takes its defaults from here
     mode: str
+    ab_max: int = 35
     gen_window: int = 0  # 0 means a + b per semigroup
-    mu_max: int = 4
+    mu_max: int = 3
     output_path: str | None = None
     parallelism: int = 1
     seed: int = 0
@@ -198,7 +198,7 @@ def _dual_records(a: int, b: int, window: int, mu_max: int,
         ideal = make_ideal(s, gens)
         via_formula = dual_formula(h, ideal)
         via_scan = ideal_dual(ideal)
-        via_reflection = dual_symmetric(h, ideal)
+        via_reflection = dual_symmetric(s, ideal)
         routes_agree = (via_formula == via_scan == via_reflection)
         bidual_ok = dual_formula(h, via_formula) == ideal
         oks.append(routes_agree and bidual_ok)

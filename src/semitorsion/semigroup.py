@@ -102,25 +102,20 @@ def minimal_generators_of_set(s: NumericalSemigroup,
 def _membership_bits(gens: list[int]) -> int:
     """Bit z set iff z is a non-negative combination of `gens`, z <= bound.
 
-    The bound starts at the product of the two largest generators, which
-    is past the Frobenius number for any generating set with gcd 1, and
-    doubles until the top min(gens) bits are a full run (past that point
-    every integer decomposes). Closing under one generator g takes
-    log(bound / g) shift-and-ORs by g, 2g, 4g, ...
+    The bound is the product of the two largest generators. By Schur's
+    bound F <= (a1 - 1)(an - 1) - 1 (Brauer, 1942), F + a1 <= a1*an - an
+    lies below it, so the top a1 bits are a full run and one pass holds
+    every gap. Closing under one generator g takes log(bound / g)
+    shift-and-ORs by g, 2g, 4g, ...
     """
-    lead = gens[-1] * (gens[-2] if len(gens) > 1 else gens[-1])
-    bound = max(lead, gens[-1] + 1, 2)
-    step = gens[0]
-    while True:
-        full = (1 << (bound + 1)) - 1
-        bits = 1
-        for g in gens:
-            while g <= bound:
-                bits |= (bits << g) & full
-                g *= 2
-        if bits >> (bound + 1 - step) == (1 << step) - 1:
-            return bits
-        bound *= 2
+    bound = max(gens[-1] * gens[-2 if len(gens) > 1 else -1], gens[-1] + 1, 2)
+    full = (1 << (bound + 1)) - 1
+    bits = 1
+    for g in gens:
+        while g <= bound:
+            bits |= (bits << g) & full
+            g *= 2
+    return bits
 
 
 @lru_cache(maxsize=None)

@@ -328,8 +328,11 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
     return counts + [1] * (hi + 1 - max(lo, cut))
 
 
-def splits_torsion_free(a: RelativeIdeal, b: RelativeIdeal,
-                        cap: int = 20) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+_SPLIT_CAP = 20  # generators of A: 2^(n-1) - 1 splits are tried
+
+
+def splits_torsion_free(a: RelativeIdeal, b: RelativeIdeal) -> tuple[
+        bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Generator-split criterion for torsion freeness of the pair.
 
     For every proper bipartition of the generators of A into P | Q,
@@ -337,17 +340,14 @@ def splits_torsion_free(a: RelativeIdeal, b: RelativeIdeal,
     when all splits pass, else (False, first failing bipartition).
     """
     _check_over(a.semigroup, b)
-    n = a.mu
-    if n > cap:
-        raise ValueError(f"{n} generators exceeds split cap {cap}")
-    s = a.semigroup
-    gens = a.min_gens
+    s, gens, n = a.semigroup, a.min_gens, a.mu
+    if n > _SPLIT_CAP:
+        raise ValueError(f"{n} generators exceeds split cap {_SPLIT_CAP}")
     # P holds gens[0], as a split and its complement agree; Q is non-empty
     for bits in range((1 << (n - 1)) - 1):
         left = [gens[0]] + [g for k, g in enumerate(gens[1:]) if bits >> k & 1]
         right = [g for k, g in enumerate(gens[1:]) if not bits >> k & 1]
-        p = make_ideal(s, left)
-        q = make_ideal(s, right)
+        p, q = make_ideal(s, left), make_ideal(s, right)
         lhs = ideal_sum(ideal_intersect(p, q), b)
         rhs = ideal_intersect(ideal_sum(p, b), ideal_sum(q, b))
         if lhs != rhs:

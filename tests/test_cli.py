@@ -5,13 +5,15 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import semitorsion
-from semitorsion import make_semigroup
-from semitorsion.cli import main
+import semitorsion.search as search
+from semitorsion import MODES, SearchSpec, coprime_pairs, make_semigroup
+from semitorsion.cli import build_parser, main
 
 
 # The benchmark's workload table, read without importing from (or
@@ -182,9 +184,31 @@ class TestSearch:
         monkeypatch.setenv("SEMITORSION_JOBS", "x")
         code, _, _ = run(capsys, "search", "--mode", "hw", "--ab-max", "15")
         assert code == 0
-        from semitorsion.cli import build_parser
         args = build_parser().parse_args(["search", "--mode", "hw"])
-        assert args.jobs == 1
+        assert args.parallelism == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_defaults_are_the_spec(self, mode):
+        # the parsed options are SearchSpec's fields at its defaults
+        args = vars(build_parser().parse_args(["search", "--mode", mode]))
+        del args["command"], args["func"]
+        assert args == asdict(SearchSpec(mode=mode))
+
+    def test_violations_printed_at_most_ten(self, capsys, monkeypatch):
+        # every record fails: all are counted, the first ten printed
+        def failing(a, b, window, mu_max, stats):
+            line = f'{{"a":{a},"b":{b},"bound_ok":false}}\n'
+            yield line, 1, [line]
+
+        monkeypatch.setitem(search._MODE_RUNNERS, "hw", failing)
+        code, out, _ = run(capsys, "search", "--mode", "hw", "--ab-max", "40")
+        printed = [line for line in out.splitlines()
+                   if line.startswith("VIOLATION: ")]
+        assert code == 2
+        assert f"violations: {len(coprime_pairs(40))}" in out.splitlines()
+        assert len(printed) == 10 < len(coprime_pairs(40))
+        assert printed[0] == ('VIOLATION: {"a": 2, "b": 3, '
+                              '"bound_ok": false}')
 
     def test_unwritable_out(self, capsys, tmp_path):
         # the message names the path given, not the part file behind it
@@ -232,11 +256,11 @@ class TestSearch:
 
 
 class TestPinnedStreams:
-    # every tiny stream and the full half-mu, hw and oracle ones must
-    # keep the benchmark's pinned record count and sha256, byte for byte
+    # every tiny and every full stream must keep the benchmark's pinned
+    # record count and sha256, byte for byte
     @pytest.mark.parametrize("workload, size", [
         *((w, "tiny") for w in BENCH["WORKLOADS"]), ("half-mu", "full"),
-        ("hw", "full"), ("oracle", "full")])
+        ("dual", "full"), ("hw", "full"), ("oracle", "full")])
     def test_stream_matches_pin(self, capsys, tmp_path, workload, size):
         out_path = tmp_path / "records.jsonl"
         argv = BENCH["campaign_argv"](workload, size, BENCH["PINNED_SEED"],

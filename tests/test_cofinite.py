@@ -71,6 +71,16 @@ class TestNormalization:
         assert CofiniteSet(5, [-3, 2]).lo == -3
         assert CofiniteSet(5).lo == 5
 
+    def test_equal_sets_hash_equal(self):
+        assert hash(CofiniteSet(11, [8, 9, 10])) == hash(CofiniteSet(8))
+        # the semigroup <2,3> is the set {0} and [2, oo)
+        assert hash(make_semigroup([2, 3])) == hash(CofiniteSet(2, [0]))
+        assert len({CofiniteSet(7, [3, 5, 6]), CofiniteSet(5, [3])}) == 1
+
+    def test_repr(self):
+        assert repr(CofiniteSet(7, [3, 5, 6])) == "{3,5->}"
+        assert repr(CofiniteSet(-2)) == "{-2->}"
+
 
 class TestOperations:
     @given(cofinite_sets, cofinite_sets)

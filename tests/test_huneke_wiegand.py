@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitorsion import (CofiniteSet, hw_check_semigroup, irreducible_triples,
+import semitorsion.huneke_wiegand as huneke_wiegand
+from semitorsion import (CofiniteSet, RouteDisagreementError,
+                         hw_check_semigroup, irreducible_triples,
                          make_semigroup, minimal_generators_of_set,
                          torsion_length_2gen)
 
@@ -148,6 +150,20 @@ class TestTorsionLength:
             s = make_semigroup(gens)
             for n in range(1, 2 * max(s.frobenius, 1) + 1):
                 torsion_length_2gen(s, n)
+
+    def test_disagreement_raises(self, monkeypatch):
+        # a direct scan one off must raise, not return either count
+        true_scan = huneke_wiegand.irreducible_triples
+
+        def off_by_one(s, n):
+            report = true_scan(s, n)
+            report.count += 1
+            return report
+
+        monkeypatch.setattr(huneke_wiegand, "irreducible_triples", off_by_one)
+        with pytest.raises(RouteDisagreementError,
+                           match="direct scan 13 != dual route 12"):
+            torsion_length_2gen(make_semigroup([5, 7]), 1)
 
 
 class TestHwCheck:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import semitorsion.hypersurface as hypersurface
 from semitorsion import (HypersurfaceSemigroup, LatticeClass,
                          SemigroupMismatchError, boundary_cycle,
                          check_half_mu_bound, dual_formula, dual_symmetric,
@@ -58,7 +59,7 @@ class TestConstruction:
                      lambda: dual_formula(h57, foreign),
                      lambda: check_half_mu_bound(h57, native, foreign),
                      lambda: check_half_mu_bound(h57, foreign, native),
-                     lambda: dual_symmetric(h57, foreign)):
+                     lambda: dual_symmetric(h57.base, foreign)):
             with pytest.raises(SemigroupMismatchError):
                 call()
 
@@ -139,6 +140,12 @@ class TestBoundaryCycle:
         assert len(bc.cycle) == 5
         assert len(set(bc.keys)) == 5
 
+    def test_duplicate_keys_raise(self, h57, triple, monkeypatch):
+        # two classes on one key would make the cycle order arbitrary
+        monkeypatch.setattr(hypersurface, "_cyclic_key", lambda h, p: 0)
+        with pytest.raises(RuntimeError, match="duplicate cyclic keys"):
+            boundary_cycle(h57, triple)
+
 
 class TestDualFormula:
     def test_example(self, h57, triple):
@@ -170,14 +177,15 @@ class TestDualFormula:
 
 class TestDualSymmetric:
     def test_example(self, h57, triple):
-        assert dual_symmetric(h57, triple).min_gens == (0, 3, 4)
+        assert dual_symmetric(h57.base, triple).min_gens == (0, 3, 4)
 
     def test_semigroup_is_self_dual(self, h57):
         s_as_ideal = make_ideal(h57.base, [0])
-        assert dual_symmetric(h57, s_as_ideal).min_gens == (0,)
+        assert dual_symmetric(h57.base, s_as_ideal).min_gens == (0,)
 
     def test_principal(self, h57):
-        assert dual_symmetric(h57, make_ideal(h57.base, [9])).min_gens == (-9,)
+        principal = make_ideal(h57.base, [9])
+        assert dual_symmetric(h57.base, principal).min_gens == (-9,)
 
     def test_accepts_any_symmetric_semigroup(self):
         s = make_semigroup([4, 5, 6])

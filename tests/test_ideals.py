@@ -53,6 +53,12 @@ class TestMakeIdeal:
         with pytest.raises(ValueError):
             make_ideal(make_semigroup([2, 3]), [])
 
+    def test_equal_ideals_hash_equal(self):
+        # over the shared <4,5,6> and over an uncached copy of it
+        a = make_ideal(make_semigroup([4, 5, 6]), [4, 5, 8])
+        b = make_ideal(NumericalSemigroup([6, 5, 4]), [5, 4])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
     @given(semigroup_and_ideal())
     @settings(max_examples=80)
     def test_roundtrip(self, si):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from semitorsion import (CofiniteSet, NumericalSemigroup, apery_set,
                          make_ideal, make_semigroup)
+from semitorsion.semigroup import _membership_bits
 
 from conftest import knapsack_members, naive_ideal_members
 
@@ -81,6 +82,21 @@ class TestMakeSemigroup:
         assert s.multiplicity == min(members - {0})
         assert all(s.contains(z) == (z in members) for z in range(-3, bound + 1))
         assert s == CofiniteSet(frob + 1, members)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=6).filter(
+        lambda g: math.gcd(*g) == 1))
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_bound_clears_frobenius(self, gens):
+        # Schur: F + min(gens) <= the product of the two largest, so the
+        # one pass ends in a full run of min(gens) members
+        gens = sorted(set(gens))
+        bound = max(gens[-1] * gens[-2 if len(gens) > 1 else -1],
+                    gens[-1] + 1, 2)
+        members = knapsack_members(gens, bound)
+        frob = max((z for z in range(bound + 1) if z not in members),
+                   default=-1)
+        assert frob + gens[0] <= bound
+        assert _membership_bits(gens) == sum(1 << z for z in members)
 
 
 class TestContains:

@@ -362,10 +362,10 @@ class TestSplits:
         assert ok and witness is None
 
     def test_cap(self):
-        s = make_semigroup([9, 10])
-        a = make_ideal(s, [0, 1, 2, 3])
-        with pytest.raises(ValueError):
-            splits_torsion_free(a, a, cap=3)
+        # no difference of 0..20 lies in <21..41>: 21 minimal generators
+        a = make_ideal(make_semigroup(range(21, 42)), range(21))
+        with pytest.raises(ValueError, match="21 generators"):
+            splits_torsion_free(a, a)
 
     def test_iff_torsion_free_small_exhaustive(self):
         # multiplicity-3 semigroups where torsion-free pairs exist
