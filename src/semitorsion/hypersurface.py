@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import gt
 
 from .cofinite import CofiniteSet, reverse_bits
-from .ideals import (RelativeIdeal, _check_over, _from_set, apery_set,
-                     ideal_sum, make_ideal)
+from .ideals import (RelativeIdeal, _check_over, apery_set, ideal_sum,
+                     make_ideal)
 from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import TauEngine
 
@@ -73,8 +74,8 @@ def _ordered_coordinates(h: HypersurfaceSemigroup,
     pairs = sorted((h.a_inverse * g % h.b, g) for g in ideal.min_gens)
     xs = [x for x, _ in pairs]
     ys = [(g - h.a * x) // h.b for x, g in pairs]
-    if (len(set(xs)) < len(xs) or ys != sorted(set(ys), reverse=True)
-            or ys[-1] <= ys[0] - h.a):
+    # ties in x sort by g, so by y: falling ys also rule out a repeated x
+    if not all(map(gt, ys, ys[1:])) or ys[-1] <= ys[0] - h.a:
         raise RuntimeError(
             f"generator chain of {ideal!r} is not ordered: x={xs}, y={ys}")
     return xs, ys
@@ -161,7 +162,7 @@ def dual_symmetric(s: NumericalSemigroup,
     width = own.threshold - own.lo
     bits = reverse_bits(own.bits ^ ((1 << width) - 1), width)
     cset = CofiniteSet.from_bits(f + 1 - own.lo, f + 1 - own.threshold, bits)
-    return _from_set(s, cset)
+    return RelativeIdeal(s, cset)
 
 
 @dataclass(frozen=True)

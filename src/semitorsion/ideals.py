@@ -1,10 +1,10 @@
 """Relative ideals of a numerical semigroup and their algebra.
 
-A relative ideal is a union of translates g + S; it is stored as its
-unique minimal generating set together with the cofinite set it equals.
-An ideal and its dual are built from one membership window of S
-(itself a `CofiniteSet`), and the minimal generators of every result
-are read off its set by `minimal_generators_of_set`; shifts move both.
+A relative ideal is a union of translates g + S; it is stored as the
+cofinite set it equals, and its unique minimal generating set is read
+off that set by `minimal_generators_of_set` on demand, once. An ideal
+and its dual are built from one membership window of S (itself a
+`CofiniteSet`); shifts move the set.
 """
 
 from __future__ import annotations
@@ -20,19 +20,26 @@ class SemigroupMismatchError(ValueError):
 
 
 class RelativeIdeal:
-    """A relative ideal over a fixed numerical semigroup."""
+    """A relative ideal over a fixed numerical semigroup, stored as its set.
 
-    __slots__ = ("semigroup", "min_gens", "set")
+    Its minimal generators are scanned on first read. Over one semigroup
+    equal sets have equal ones, so `==` and the hash read the set only."""
+
+    __slots__ = ("semigroup", "set", "_min_gens")
 
     semigroup: NumericalSemigroup
-    min_gens: tuple[int, ...]
     set: CofiniteSet
 
-    def __init__(self, semigroup: NumericalSemigroup,
-                 min_gens: tuple[int, ...], cset: CofiniteSet):
+    def __init__(self, semigroup: NumericalSemigroup, cset: CofiniteSet):
         self.semigroup = semigroup
-        self.min_gens = min_gens
         self.set = cset
+        self._min_gens = None
+
+    @property
+    def min_gens(self) -> tuple[int, ...]:
+        if self._min_gens is None:
+            self._min_gens = minimal_generators_of_set(self.semigroup, self.set)
+        return self._min_gens
 
     @property
     def mu(self) -> int:
@@ -47,11 +54,11 @@ class RelativeIdeal:
             isinstance(other, RelativeIdeal)
             and (self.semigroup is other.semigroup
                  or self.semigroup == other.semigroup)
-            and self.min_gens == other.min_gens
+            and self.set == other.set
         )
 
     def __hash__(self) -> int:
-        return hash((self.semigroup, self.min_gens))
+        return hash((self.semigroup, self.set))
 
     def __repr__(self) -> str:
         gens = ",".join(str(g) for g in self.min_gens)
@@ -69,17 +76,15 @@ def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdea
     if not gens:
         raise ValueError("generator list must be non-empty")
     g0 = gens[0]
-    gens = [g for g in gens if g <= g0 + max(s.frobenius, 0)]
+    cut = g0 + max(s.frobenius, 0)
+    if gens[-1] > cut:
+        gens = [g for g in gens if g <= cut]
     t = gens[-1] + s.frobenius + 1
     member = s.window(0, t - g0)
     bits = 0
     for g in gens:
         bits |= member << (g - g0)
-    return _from_set(s, CofiniteSet.from_bits(t, g0, bits))
-
-
-def _from_set(s: NumericalSemigroup, cset: CofiniteSet) -> RelativeIdeal:
-    return RelativeIdeal(s, minimal_generators_of_set(s, cset), cset)
+    return RelativeIdeal(s, CofiniteSet.from_bits(t, g0, bits))
 
 
 def _check_over(s: NumericalSemigroup, *ideals: RelativeIdeal) -> None:
@@ -99,7 +104,7 @@ def ideal_sum(a: RelativeIdeal, b: RelativeIdeal) -> RelativeIdeal:
 
 def ideal_intersect(a: RelativeIdeal, b: RelativeIdeal) -> RelativeIdeal:
     _check_over(a.semigroup, b)
-    return _from_set(a.semigroup, a.set.intersect(b.set))
+    return RelativeIdeal(a.semigroup, a.set.intersect(b.set))
 
 
 def ideal_dual(a: RelativeIdeal) -> RelativeIdeal:
@@ -117,13 +122,11 @@ def ideal_dual(a: RelativeIdeal) -> RelativeIdeal:
     bits = (1 << width) - 1
     for g in a.min_gens:
         bits &= member >> (g - g0)
-    return _from_set(s, CofiniteSet.from_bits(width - g0, -g0, bits))
+    return RelativeIdeal(s, CofiniteSet.from_bits(width - g0, -g0, bits))
 
 
 def ideal_shift(a: RelativeIdeal, c: int) -> RelativeIdeal:
-    return RelativeIdeal(a.semigroup,
-                         tuple(g + c for g in a.min_gens),
-                         a.set.shift(c))
+    return RelativeIdeal(a.semigroup, a.set.shift(c))
 
 
 def apery_set(a: Union[RelativeIdeal, NumericalSemigroup], n: int) -> set[int]:

@@ -46,7 +46,7 @@ class NumericalSemigroup(CofiniteSet):
 
         try:
             bits = _membership_bits(gens)
-        except OverflowError:  # a bound past the largest shift Python allows
+        except (OverflowError, MemoryError):  # a bound past what Python holds
             raise ValueError(f"generators {gens} are too large") from None
         frob = (~bits & ((1 << bits.bit_length()) - 1)).bit_length() - 1
         self._normalize(frob + 1, 0, bits)

@@ -12,6 +12,7 @@ import pytest
 
 import semitorsion
 import semitorsion.search as search
+import semitorsion.semigroup as semigroup
 from semitorsion import MODES, SearchSpec, coprime_pairs, make_semigroup
 from semitorsion.cli import build_parser, main
 
@@ -93,6 +94,18 @@ class TestInfo:
                              "99999999999,100000000000")
         assert code == 1 and out == "" and err.count("\n") == 1
         assert "99999999999, 100000000000" in err and "too large" in err
+
+    def test_unallocatable_generators(self, capsys, monkeypatch):
+        # <1000000,1000001> asks for 10**12 membership bits, which fails
+        # with MemoryError where it is refused; the refusal is stubbed,
+        # so nothing that size is really allocated
+        def refuse(gens):
+            raise MemoryError
+
+        monkeypatch.setattr(semigroup, "_membership_bits", refuse)
+        code, out, err = run(capsys, "info", "--semigroup", "1000000,1000001")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "1000000, 1000001" in err and "too large" in err
 
 
 class TestTau:

@@ -100,6 +100,15 @@ class TestOrderedGenerators:
         with pytest.raises(RuntimeError, match="not ordered"):
             dual_formula(h, triple)
 
+    def test_repeated_x_raises(self, triple):
+        # a^-1 = 0 puts every generator at x = 0; ties in x sort by y
+        # ascending, so the falling-y check alone must catch the repeat
+        h = HypersurfaceSemigroup(5, 7, make_semigroup((5, 7)), a_inverse=0)
+        with pytest.raises(RuntimeError, match="not ordered"):
+            ordered_generators(h, triple)
+        with pytest.raises(RuntimeError, match="not ordered"):
+            dual_formula(h, triple)
+
     def test_two_gen_small(self):
         h = make_hypersurface(2, 3)
         og = ordered_generators(h, make_ideal(h.base, [0, 1]))

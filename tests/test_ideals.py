@@ -1,10 +1,13 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semitorsion import (CofiniteSet, NumericalSemigroup,
-                         SemigroupMismatchError, ideal_dual, ideal_intersect,
-                         ideal_shift, ideal_sum, make_ideal, make_semigroup,
+                         SemigroupMismatchError, dual_formula, dual_symmetric,
+                         ideal_dual, ideal_intersect, ideal_shift, ideal_sum,
+                         make_hypersurface, make_ideal, make_semigroup,
                          minimal_generators_of_set)
 
 from conftest import knapsack_members, naive_dual_members, naive_ideal_members
@@ -19,6 +22,26 @@ ideal_gens = st.lists(st.integers(-8, 14), min_size=1, max_size=4)
 def semigroup_and_ideal(draw):
     s = make_semigroup(draw(semigroup_gens))
     return s, make_ideal(s, draw(ideal_gens))
+
+
+small_semigroup_gens = st.lists(st.integers(2, 30), min_size=2,
+                                max_size=4).filter(lambda gs: math.gcd(*gs) == 1)
+
+
+@st.composite
+def two_ideals(draw):
+    """A semigroup and two ideals over it, each from a generator list that
+    may carry a redundant generator; the second is often the first
+    regenerated through one."""
+    s = make_semigroup(draw(small_semigroup_gens))
+
+    def padded(gens):  # gens, or gens with a member of gens[0] + S added
+        n = draw(st.sampled_from(s.generators)) * draw(st.integers(0, 3))
+        return gens + [gens[0] + n]
+
+    ga = draw(ideal_gens)
+    gb = draw(st.one_of(ideal_gens, st.just(ga)))
+    return s, make_ideal(s, padded(ga)), make_ideal(s, padded(gb))
 
 
 class TestMakeIdeal:
@@ -91,6 +114,43 @@ class TestMakeIdeal:
         for g in a.min_gens:
             for h in a.min_gens:
                 assert g == h or not a.semigroup.contains(g - h)
+
+
+class TestEqualityBySet:
+    @given(two_ideals())
+    @settings(max_examples=100)
+    def test_equal_exactly_when_generators_are(self, sab):
+        _, a, b = sab
+        equal = a == b  # compares sets, before any generator is read
+        assert equal == (a.min_gens == b.min_gens)
+        assert not equal or hash(a) == hash(b)
+
+    @given(two_ideals())
+    @settings(max_examples=80)
+    def test_generators_read_on_demand_match_a_scan(self, sab):
+        s, a, b = sab
+        results = [ideal_dual(a), ideal_sum(a, b), ideal_intersect(a, b)]
+        if s.is_symmetric():
+            results.append(dual_symmetric(s, a))
+        if len(s.generators) == 2:
+            results.append(dual_formula(make_hypersurface(*s.generators), a))
+        for x in results:
+            assert x.min_gens == minimal_generators_of_set(s, x.set)
+            assert make_ideal(s, x.min_gens) == x
+
+    @given(two_ideals(), small_semigroup_gens)
+    @settings(max_examples=80)
+    def test_unequal_semigroups_never_equal(self, sab, other):
+        s, a, _ = sab
+        t = make_semigroup(other)
+        assume(t != s)
+        assert a != make_ideal(t, a.min_gens) and make_ideal(t, a.min_gens) != a
+
+    def test_same_set_over_unequal_semigroups(self):
+        # both ideals are the set of all z >= 0
+        a = make_ideal(make_semigroup([2, 3]), [0, 1])
+        b = make_ideal(make_semigroup([3, 4, 5]), [0, 1, 2])
+        assert a.set == b.set and a != b and b != a
 
 
 class TestSum:

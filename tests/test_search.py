@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import json
 import math
@@ -9,7 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semitorsion.hypersurface as hypersurface
+import semitorsion.ideals as ideals
 import semitorsion.search as search
+import semitorsion.semigroup as semigroup
 
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
                          coprime_pairs, ideal_shift, make_ideal,
@@ -248,6 +253,37 @@ class TestRunSearch:
             assert not any(r["routes_agree"] or r["bound_ok"]
                            for r in records), route
         assert any(r["dual"].startswith("-") for r in records)
+
+    def test_dual_scans_generators_on_demand(self, monkeypatch):
+        # a record reads the minimal generators of two ideals only: the
+        # ideal's (for the formula and the scan) and the formula dual's
+        # (for the record and the bidual); the scan and reflection duals
+        # and the bidual compare by set. Each semigroup scans its own.
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+            return call
+
+        scan = counted("scans", semigroup.minimal_generators_of_set)
+        for module in (semigroup, ideals):
+            monkeypatch.setattr(module, "minimal_generators_of_set", scan)
+        monkeypatch.setattr(semigroup, "_cached", functools.lru_cache(
+            counted("semigroups", semigroup.NumericalSemigroup)))
+        make = counted("makes", ideals.make_ideal)
+        for module in (search, hypersurface):
+            monkeypatch.setattr(module, "make_ideal", make)
+        summary = run_search(SearchSpec(ab_max=30, mode="dual-consistency",
+                                        mu_max=2))
+        records = summary.records
+        assert summary.ok and records == 87
+        assert calls["semigroups"] == len(coprime_pairs(30))
+        scans_per_record, makes_per_record = 2, 3
+        assert calls["scans"] == (scans_per_record * records
+                                  + calls["semigroups"]), calls
+        assert calls["makes"] == makes_per_record * records, calls
 
     def test_hw(self, tmp_path):
         out = tmp_path / "hw.jsonl"
