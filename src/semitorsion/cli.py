@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage, parse or output-file error, 2 a
+Exit codes: 0 success, 1 usage, parse, output-file or worker error, 2 a
 mathematical violation was found (search modes and the per-gap check).
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 
 from .cofinite import bit_positions
@@ -169,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"semitorsion: error: {exc}", file=sys.stderr)
         return 1
 

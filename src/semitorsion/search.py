@@ -23,9 +23,9 @@ still streams. Every line is the one
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
@@ -160,11 +160,11 @@ def _half_mu_records(a: int, b: int, window: int, mu_max: int,
     ideals = sorted(canonical, key=len)
     mus = [len(g) for g in ideals]
     # every canonical tuple starts at 0, so its last entry is its spread
-    lanes = engine.pack(ideals, max(g[-1] for g in ideals))
+    batch = engine.pack(ideals, max(g[-1] for g in ideals))
     taus: list[list[int]] = []  # the rows of the tau and support tables
     supports: list[list[int]] = []
     for p, ga in enumerate(ideals):
-        ts, cs = engine.tau_support_batch(ga, lanes[p:])
+        ts, cs = engine.tau_support_batch(ga, batch.suffix(p))
         taus.append([row[p] for row in taus] + ts)
         supports.append([row[p] for row in supports] + cs)
         mms = [mus[p] * mb for mb in mus[p:]]
@@ -275,7 +275,7 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     Records are emitted in sorted input order regardless of worker
     scheduling, so identical specs produce identical files. They go to
     `<output_path>.part`, renamed into place after the last record; an
-    error removes it and terminates the pool without draining it.
+    error, or a dead worker, removes it and cancels the queued tasks.
     """
     summary = SearchSummary(mode=spec.mode)
     part = f"{spec.output_path}.part"
@@ -293,8 +293,8 @@ def run_search(spec: SearchSpec) -> SearchSummary:
             tasks = [(spec.mode, a, b, spec.window_for(a, b), spec.mu_max)
                      for a, b in coprime_pairs(spec.ab_max)]
             if spec.parallelism > 1 and len(tasks) > 1:
-                pool = multiprocessing.Pool(spec.parallelism)
-                chunks = pool.imap(_run_task, tasks)
+                pool = concurrent.futures.ProcessPoolExecutor(spec.parallelism)
+                chunks = pool.map(_run_task, tasks)
             else:
                 chunks = (_run_task(t, lazy=True) for t in tasks)
         for blocks, stats in chunks:
@@ -309,8 +309,7 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         done = True
     finally:
         if pool is not None:
-            (pool.close if done else pool.terminate)()
-            pool.join()
+            pool.shutdown(cancel_futures=not done)
         if out is not None:
             out.close()
             if done:

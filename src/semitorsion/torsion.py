@@ -6,12 +6,13 @@ bipartite graph on the minimal generators of A and B. The torsion
 number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
-One engine computes them. `TauEngine.pack` lays a batch of right-hand
-tuples out as byte-aligned lanes over every degree, and `_reps` shifts
-them by each left-hand generator into one int per generator pair and
-runs the bit-parallel component counter `_component_reps` on all of
-them at once. Slices share a packing, so a campaign packs a semigroup's
-ideals once and calls the engine once per ideal. A short tuple repeats
+One engine computes them. `TauEngine.pack` lays right-hand tuples out
+as a `Batch` of byte-aligned lanes over every degree, and `_reps` shifts
+its rows by each left-hand generator into one int per generator pair
+and runs the bit-parallel component counter `_component_reps` on all of
+them at once. `Batch.suffix` drops lanes by a shift, so a campaign
+packs a semigroup's ideals once and calls the engine once per ideal;
+`component_counts` builds its one lane directly. A short tuple repeats
 its last generator, which is exact: the copied right vertex has the
 neighbours of the original. One multiply sums the byte popcounts of
 every lane up to 248 bits (k bytes sum to at most 8k < 256, no carry);
@@ -26,7 +27,7 @@ window and `torsion_profile` over the scan window.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, and_, or_
@@ -73,22 +74,30 @@ def _component_reps(edges: list[list[int]]) -> list[int]:
     return reps
 
 
-class Lanes(tuple):
-    """Generator tuples with their lanes, from `TauEngine.pack`.
+@dataclass(frozen=True)
+class Batch:
+    """Generator tuples as lanes, from `TauEngine.pack`: row j holds
+    generator j of each tuple, and `keep` is the lane mask in each lane."""
 
-    A contiguous slice shares the packing: its rows are shifted down past
-    the lanes it drops, and the engine masks off lanes past its end.
-    """
+    semigroup: NumericalSemigroup
+    gbs: tuple[tuple[int, ...], ...]
+    spread: int
+    stride: int
+    keep: int
+    rows: tuple[int, ...]
 
-    def __getitem__(self, key):
-        part = tuple.__getitem__(self, key)
-        if not isinstance(key, slice) or key.step not in (None, 1):
-            return part  # a plain tuple; the engine packs it afresh
-        out = Lanes(part)
-        vars(out).update(vars(self))
-        shift = key.indices(len(self))[0] * self.stride
-        out.rows = [row >> shift for row in self.rows]
-        return out
+    def __len__(self) -> int:
+        return len(self.gbs)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.gbs)
+
+    def suffix(self, p: int) -> Batch:
+        """The batch of gbs[p:], its lanes shifted down past the first p."""
+        shift = p * self.stride
+        rows = tuple(row >> shift for row in self.rows)
+        return Batch(self.semigroup, self.gbs[p:], self.spread, self.stride,
+                     self.keep >> shift, rows)
 
 
 class TauEngine:
@@ -98,7 +107,7 @@ class TauEngine:
         self.s = s
         self.f = s.frobenius
 
-    def pack(self, gbs: Sequence[tuple[int, ...]], spread: int) -> Lanes:
+    def pack(self, gbs: Sequence[tuple[int, ...]], spread: int) -> Batch:
         """The tuples gbs as lanes, for any ga with ga[-1] - ga[0] <= spread.
 
         Bit w of a lane stands for degree ga[0] + min gb[0] + w, up to the
@@ -106,13 +115,14 @@ class TauEngine:
         a smaller spread carry no torsion. A lane's stride, a whole number
         of bytes, leaves room for the shift by ga.
         """
-        base = min(gb[0] for gb in gbs)
-        width = self.f + spread + max(gb[-1] for gb in gbs) - base + 1
+        base = min((gb[0] for gb in gbs), default=0)
+        top = max((gb[-1] for gb in gbs), default=0)
+        width = self.f + spread + top - base + 1
         size = (width + spread + 8) // 8  # bytes per lane
         member, lane = self.s.window(0, width), (1 << width) - 1
         chunks: dict[int, bytes] = {}
         rows = []
-        for j in range(max(map(len, gbs))):
+        for j in range(max(map(len, gbs), default=0)):
             column = []
             for gb in gbs:
                 g = gb[j] if j < len(gb) else gb[-1]  # pad with a copy
@@ -122,50 +132,40 @@ class TauEngine:
                         size, "little")
                 column.append(chunks[g])
             rows.append(int.from_bytes(b"".join(column), "little"))
-        out = Lanes(gbs)
-        vars(out).update(semigroup=self.s, spread=spread, stride=8 * size,
-                         lane=lane, rows=rows)
-        return out
+        return Batch(self.s, tuple(gbs), spread, 8 * size, int.from_bytes(
+            lane.to_bytes(size, "little") * len(gbs), "little"), tuple(rows))
 
-    def _reps(self, ga: tuple[int, ...], gbs: Sequence[tuple[int, ...]]
-              ) -> tuple[int, int, list[int]]:
-        """(stride, lane mask, reps) of (ga, gb) for gbs, a list or `Lanes`.
-
-        Rep int i has the bits where left vertex i is the least of a
-        component, so a degree's component count is the number of reps
-        with its bit set.
-        """
-        spread = ga[-1] - ga[0]
-        if not (isinstance(gbs, Lanes) and gbs.semigroup is self.s
-                and gbs.spread >= spread):
-            gbs = self.pack(gbs, spread)
-        keep = int.from_bytes(  # the lane mask in each of len(gbs) lanes
-            gbs.lane.to_bytes(gbs.stride // 8, "little") * len(gbs), "little")
-        return gbs.stride, gbs.lane, _component_reps(
-            [[(row << (g - ga[0])) & keep for row in gbs.rows] for g in ga])
+    def _reps(self, ga: tuple[int, ...], rows: Sequence[int],
+              keep: int) -> list[int]:
+        """`_component_reps` of (ga, gb) on the lanes of `rows` cut to `keep`:
+        a degree's component count is the number of reps with its bit set."""
+        return _component_reps(
+            [[(row << (g - ga[0])) & keep for row in rows] for g in ga])
 
     def tau_support_batch(self, ga: tuple[int, ...],
-                          gbs: Sequence[tuple[int, ...]]
-                          ) -> tuple[list[int], list[int]]:
-        """(tau totals, support sizes) of (ga, gb) per gb; sorted minimal
-        tuples of any lengths, as a list or as the `Lanes` of `pack`."""
-        if not gbs:
-            return [], []
-        stride, _, reps = self._reps(ga, gbs)
-        tau = [0] * len(gbs)
+                          batch: Batch) -> tuple[list[int], list[int]]:
+        """(tau totals, support sizes) of (ga, gb) for each gb of `batch`,
+        which `pack` laid out over this semigroup for ga's spread or more."""
+        if batch.semigroup != self.s or ga[-1] - ga[0] > batch.spread:
+            raise ValueError(f"batch not packed over {self.s.generators} "
+                             f"for a spread of {ga[-1] - ga[0]}")
+        lanes, stride = len(batch), batch.stride
+        reps = self._reps(ga, batch.rows, batch.keep)
+        tau = [0] * lanes
         multi = 0  # the degrees with more than one component
         # a rep past the first component at its degree adds one to tau
         for e in map(and_, reps[1:], accumulate(reps, or_)):
-            tau = list(map(add, tau, _lane_counts(e, len(gbs), stride)))
+            tau = list(map(add, tau, _lane_counts(e, lanes, stride)))
             multi |= e
-        return tau, list(_lane_counts(multi, len(gbs), stride))
+        return tau, list(_lane_counts(multi, lanes, stride))
 
     def component_counts(self, ga: tuple[int, ...],
                          gb: tuple[int, ...]) -> list[int]:
         """Fiber graph component counts of (ga, gb) over its scan window."""
-        _, lane, reps = self._reps(ga, [gb])
-        counts = [0] * lane.bit_length()
-        for rep in reps:
+        width = self.f + ga[-1] - ga[0] + gb[-1] - gb[0] + 1
+        member, keep = self.s.window(0, width), (1 << width) - 1
+        counts = [0] * width  # bit w of the lane: degree ga[0] + gb[0] + w
+        for rep in self._reps(ga, [member << (g - gb[0]) for g in gb], keep):
             for w in bit_positions(rep):
                 counts[w] += 1
         return counts

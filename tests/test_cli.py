@@ -245,6 +245,31 @@ class TestSearch:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["records"]
         assert [p.name for p in target.iterdir()] == ["kept"]
 
+    def test_dead_worker_exits_one(self, tmp_path):
+        # a worker that dies mid-run (as under the OOM killer) must fail
+        # the run at once, not hang it; in a subprocess, so a hang fails
+        # on the timeout instead of stalling the suite
+        code = ("import os, sys; sys.path.insert(0, sys.argv[1])\n"
+                "import semitorsion.search as search\n"
+                "from semitorsion.cli import main\n"
+                "runner = search._MODE_RUNNERS['hw']\n"
+                "def dying(a, b, *args):\n"
+                "    if (a, b) == (3, 4):\n"
+                "        os._exit(1)\n"
+                "    yield from runner(a, b, *args)\n"
+                "search._MODE_RUNNERS['hw'] = dying\n"
+                "sys.exit(main(['search', '--mode', 'hw', '--ab-max', '40', "
+                "'--jobs', '2', '--out', sys.argv[2]]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        target = tmp_path / "hw.jsonl"
+        done = subprocess.run([sys.executable, "-c", code, str(src),
+                               str(target)], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.startswith("semitorsion: error: ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value,name", [
         ("--ab-max", "5", "ab_max"), ("--mu-max", "0", "mu_max"),
         ("--jobs", "0", "--jobs"), ("--gen-window", "-1", "gen_window"),

@@ -1,9 +1,9 @@
 import collections
+import concurrent.futures
 import functools
 import itertools
 import json
 import math
-import multiprocessing.pool
 import random
 from types import SimpleNamespace
 
@@ -97,8 +97,8 @@ class CountingEngine(TauEngine):
 
 class TestTauEngine:
     @given(ideal_batches())
-    # lanes packed for a spread of 0 are too narrow for ga = (1, 6): its
-    # shift reaches the next lane, so the engine must pack them afresh
+    # ga spreads further than every gb, so the lanes take their room
+    # for the shift from ga
     @example((make_semigroup([3, 4]), (1, 6), [(0, 1), (-6, -4)]))
     @settings(max_examples=80, deadline=None)
     def test_mixed_lengths_and_suffixes(self, batch):
@@ -107,25 +107,60 @@ class TestTauEngine:
         for gb in gbs:
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
             expected.append((profile.total, profile.support_size))
-        engine = CountingEngine(s)
-        # a plain list of mixed lengths: shorter tuples are padded
-        assert list(zip(*engine.tau_support_batch(ga, gbs))) == expected
-        # lanes wide enough for ga and for every gb as a left side
+        engine = TauEngine(s)
+        # mixed lengths, shorter tuples padded, in lanes wide enough for
+        # ga and for every gb as a left side
         spread = max(g[-1] - g[0] for g in [ga, *gbs])
         packed = engine.pack(gbs, spread)
-        packs = engine.packs
-        for k in range(len(gbs)):
-            suffix = engine.tau_support_batch(ga, packed[k:])
-            assert list(zip(*suffix)) == expected[k:], k
-            assert suffix == engine.tau_support_batch(
+        for k in range(len(gbs) + 1):
+            suffix = packed.suffix(k)
+            assert list(suffix) == gbs[k:] and len(suffix) == len(gbs) - k
+            taus = engine.tau_support_batch(ga, suffix)
+            assert list(zip(*taus)) == expected[k:], k
+            assert taus == engine.tau_support_batch(
                 ga, engine.pack(gbs[k:], spread)), k
-            packs += 1  # the direct packing above; the suffix made none
-            assert engine.packs == packs, k
-        # lanes too narrow for ga, or a stepped slice: packed afresh
         assert list(zip(*engine.tau_support_batch(
-            ga, engine.pack(gbs, 0)))) == expected
-        assert list(zip(*engine.tau_support_batch(ga, packed[::2]))) == \
-            expected[::2]
+            ga, engine.pack(gbs[::2], spread)))) == expected[::2]
+
+    def test_misuse_raises(self):
+        # a batch serves its own semigroup, and any ga up to its spread;
+        # anything else raises instead of packing again
+        s = make_semigroup([3, 4])
+        ga, gbs = (1, 6), [(0, 1), (-6, -4)]
+        engine = TauEngine(s)
+        foreign = TauEngine(make_semigroup([3, 5])).pack(gbs, 5)
+        with pytest.raises(ValueError, match="not packed over"):
+            engine.tau_support_batch(ga, foreign)
+        # lanes packed for a spread of 0 are too narrow for ga = (1, 6):
+        # its shift would reach the next lane
+        with pytest.raises(ValueError, match="spread of 5"):
+            engine.tau_support_batch(ga, engine.pack(gbs, 0))
+        # an equal semigroup packs the same lanes
+        same = TauEngine(semigroup.NumericalSemigroup([4, 3])).pack(gbs, 5)
+        assert engine.tau_support_batch(ga, same) == \
+            engine.tau_support_batch(ga, engine.pack(gbs, 5))
+
+    def test_campaign_pack_counts(self, monkeypatch):
+        # half-mu packs each semigroup's ideals once; oracle-compare
+        # builds its one lane per pair without a packing
+        engines = []
+
+        def counting(s):
+            engines.append(CountingEngine(s))
+            return engines[-1]
+
+        monkeypatch.setattr(search, "TauEngine", counting)
+        run_search(SearchSpec(mode="oracle-compare", ab_max=30, mu_max=3,
+                              samples=20))
+        assert engines and [e.packs for e in engines] == [0] * len(engines)
+        engines.clear()
+        run_search(SearchSpec(mode="half-mu-bound", ab_max=20))
+        expected = {(a, b): int(any(
+            len(g) >= 2 for g in canonical_ideal_gens(
+                make_semigroup((a, b)), a + b, 3)))
+            for a, b in coprime_pairs(20)}
+        assert {e.s.generators: e.packs for e in engines} == expected
+        assert sum(expected.values()) > 0
 
     @pytest.mark.parametrize("a,b", [(2, 5), (3, 4), (3, 7), (4, 5), (5, 6)])
     def test_agrees_with_profile(self, a, b):
@@ -143,7 +178,8 @@ class TestTauEngine:
         # the second batch has different first generators and spreads,
         # so each lane's fibers sit at their own offset in the window
         for group in ([(0, 1), (0, 2), (0, 11)], [(-2, 1), (0, 3), (5, 6)]):
-            taus, supports = engine.tau_support_batch((0, 1, 3), group)
+            taus, supports = engine.tau_support_batch(
+                (0, 1, 3), engine.pack(group, 3))
             for gb, t, c in zip(group, taus, supports):
                 single = engine.profile((0, 1, 3), gb)
                 assert (t, c) == (single.total, single.support_size), gb
@@ -160,7 +196,8 @@ class TestTauEngine:
         engine = TauEngine(s)
         ga = tuple(range(mu_a))
         group = [tuple(range(mu_b)), tuple(range(a - mu_b, a))]
-        taus, supports = engine.tau_support_batch(ga, group)
+        taus, supports = engine.tau_support_batch(
+            ga, engine.pack(group, ga[-1] - ga[0]))
         for gb, t, c in zip(group, taus, supports):
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
             assert (int(t), int(c)) == (profile.total, profile.support_size), gb
@@ -192,10 +229,13 @@ class TestTauEngine:
         assert list(zip(*engine.tau_support_batch(ga, packed))) == expected
 
     def test_empty_batch(self):
+        # an empty packing, and a suffix past the last lane, count nothing
         engine = TauEngine(make_semigroup([2, 3]))
-        assert engine.tau_support_batch((0, 1), []) == ([], [])
+        empty = engine.pack([], 1)
+        assert len(empty) == 0 and list(empty) == []
+        assert engine.tau_support_batch((0, 1), empty) == ([], [])
         packed = engine.pack([(0,), (0, 1)], 1)
-        assert engine.tau_support_batch((0, 1), packed[2:]) == ([], [])
+        assert engine.tau_support_batch((0, 1), packed.suffix(2)) == ([], [])
 
     def test_non_canonical_tuples(self):
         s = make_semigroup([5, 7])
@@ -331,10 +371,10 @@ class TestRunSearch:
         # each lane's top degree must be flagged
         true_reps = TauEngine._reps
 
-        def top_dropped(self, ga, gbs):
-            # component_counts asks for one lane, so `lane`'s top bit is it
-            stride, lane, reps = true_reps(self, ga, gbs)
-            return stride, lane, [rep & ~((lane + 1) >> 1) for rep in reps]
+        def top_dropped(self, ga, rows, keep):
+            # component_counts asks for one lane, so `keep`'s top bit is it
+            return [rep & ~((keep + 1) >> 1)
+                    for rep in true_reps(self, ga, rows, keep)]
 
         monkeypatch.setattr(TauEngine, "_reps", top_dropped)
         out = tmp_path / "oracle.jsonl"
@@ -399,29 +439,26 @@ class TestRunSearch:
         # leaving by an exception must not wait for the queued tasks
         calls = []
 
-        class RecordingPool(multiprocessing.pool.Pool):
-            def close(self):
-                calls.append("close")
-                super().close()
-
-            def terminate(self):
-                calls.append("terminate")
-                super().terminate()
+        class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                calls.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
 
         def broken(s):
             raise RuntimeError("report failed")
 
-        monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
         out = tmp_path / "hw.jsonl"
         summary = run_search(SearchSpec(ab_max=40, mode="hw", parallelism=2,
                                         output_path=str(out)))
-        assert summary.ok and calls == ["close"]
+        assert summary.ok and calls == [False]
         # the pool forks, so its workers inherit the patch
         monkeypatch.setattr(search, "hw_check_semigroup", broken)
         with pytest.raises(RuntimeError, match="report failed"):
             run_search(SearchSpec(ab_max=40, mode="hw", parallelism=2,
                                   output_path=str(out)))
-        assert calls == ["close", "terminate"]
+        assert calls == [False, True]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hw.jsonl"]
 
 

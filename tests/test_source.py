@@ -86,7 +86,7 @@ def test_one_fiber_edge_builder():
 def test_oracle_names_no_engine_code():
     # the flood fill stays independent of the engine it checks: its lanes
     # index degrees and its bits nodes, the engine's tuples and degrees
-    engine = {"TauEngine", "pack", "Lanes", "_reps", "_lane_counts",
+    engine = {"TauEngine", "pack", "Batch", "_reps", "_lane_counts",
               "_component_reps"}
     path = SRC / "torsion.py"
     found = {}
