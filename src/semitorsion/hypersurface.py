@@ -138,7 +138,7 @@ def dual_formula(h: HypersurfaceSemigroup,
 
     With generators at (x_i, y_i) the dual is generated by
     -a*x_1 - b*y_n together with ab - a*x_{i+1} - b*y_i. Minimality of
-    the produced set is recomputed rather than assumed.
+    the produced set is checked by `make_ideal`, not assumed.
     """
     xs, ys = _ordered_coordinates(h, ideal)
     gens = [-h.a * xs[0] - h.b * ys[-1]]

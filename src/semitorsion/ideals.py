@@ -1,10 +1,10 @@
 """Relative ideals of a numerical semigroup and their algebra.
 
 A relative ideal is a union of translates g + S; it is stored as the
-cofinite set it equals, and its unique minimal generating set is read
-off that set by `minimal_generators_of_set` on demand, once. An ideal
-and its dual are built from one membership window of S (itself a
-`CofiniteSet`); shifts move the set.
+cofinite set it equals. `make_ideal` keeps generators it has checked
+minimal; any other ideal reads its minimal generating set off its set by
+`minimal_generators_of_set` on demand, once. An ideal and its dual are
+built from one membership window of S (a `CofiniteSet`); shifts move it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ class SemigroupMismatchError(ValueError):
 class RelativeIdeal:
     """A relative ideal over a fixed numerical semigroup, stored as its set.
 
-    Its minimal generators are scanned on first read. Over one semigroup
-    equal sets have equal ones, so `==` and the hash read the set only."""
+    Its minimal generators come checked from `make_ideal` or are scanned
+    on first read; `==` and the hash read the semigroup and set only."""
 
     __slots__ = ("semigroup", "set", "_min_gens")
 
@@ -70,7 +70,8 @@ def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdea
 
     A generator past min + F lies in min + S and adds nothing. Below
     max + F + 1 (past it everything lies in max + S) the set is the OR
-    of the translates g + S; its minimal generators are read off it.
+    of the translates g + S. If no generator lies in an earlier one's
+    translate, they are the minimal generators and are kept.
     """
     gens = sorted(set(map(int, generators)))
     if not gens:
@@ -81,10 +82,14 @@ def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdea
         gens = [g for g in gens if g <= cut]
     t = gens[-1] + s.frobenius + 1
     member = s.window(0, t - g0)
-    bits = 0
+    bits = reached = 0
     for g in gens:
+        reached |= bits >> (g - g0) & 1
         bits |= member << (g - g0)
-    return RelativeIdeal(s, CofiniteSet.from_bits(t, g0, bits))
+    ideal = RelativeIdeal(s, CofiniteSet.from_bits(t, g0, bits))
+    if not reached:
+        ideal._min_gens = tuple(gens)
+    return ideal
 
 
 def _check_over(s: NumericalSemigroup, *ideals: RelativeIdeal) -> None:

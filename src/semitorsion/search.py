@@ -13,11 +13,15 @@ checks the engine's component counts of each sampled pair, over its
 scan window, against the flood fill of `fiber_class_count`.
 The half-mu sweep packs a semigroup's ideals once, in mu order, and
 calls the engine once per ideal, on it and every ideal after it, since
-tau and the support are symmetric. Every mode's runner writes its own
-fixed-schema f-string next to the values it formats and yields text
-blocks through `_block`: one per ideal A in half-mu, one per semigroup
-in dual and hw, one per 100 samples in oracle-compare, so a long run
-still streams. Every line is the one
+tau and the support are symmetric. Every mode is a runner in
+`_MODE_RUNNERS`, called as `runner(spec, *task)` per task: a pair
+(a, b), or for `oracle-compare`, whose samples share one random stream,
+the one empty task. It writes its own fixed-schema f-string next to the
+values it formats and yields blocks through `_block`: one per ideal A in
+half-mu, one per semigroup in dual and hw, one per 100 samples in
+oracle-compare, so a long run still streams. A block carries its text,
+record count, failed lines and stats; `run_search` folds them in order.
+Every line is the one
 `json.dumps(record, sort_keys=True, separators=(",", ":"))` gives.
 """
 
@@ -29,6 +33,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from operator import add, sub
 from typing import Iterable, Iterator
 
@@ -37,8 +42,6 @@ from .huneke_wiegand import hw_check_semigroup
 from .ideals import RelativeIdeal, ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
 from .torsion import TauEngine, fiber_class_count, scan_window
-
-MODES = ("half-mu-bound", "dual-consistency", "hw", "oracle-compare")
 
 
 def coprime_pairs(ab_max: int) -> list[tuple[int, int]]:
@@ -134,27 +137,28 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-Block = tuple[str, int, list[str]]
+Block = tuple[str, int, list[str], dict]
 
 
-def _block(lines: list[str], oks: list[bool]) -> Block:
-    """A text block: the lines joined, their count, and the lines whose
-    bound_ok is false."""
+def _block(lines: list[str], oks: list[bool], stats: dict) -> Block:
+    """A text block: the lines joined, their count, the lines whose
+    bound_ok is false, and the stats of the work behind them."""
     return ("".join(lines), len(lines),
-            [] if all(oks) else [x for x, ok in zip(lines, oks) if not ok])
+            [] if all(oks) else [x for x, ok in zip(lines, oks) if not ok],
+            stats)
 
 
-def _half_mu_records(a: int, b: int, window: int, mu_max: int,
-                     stats: dict) -> Iterator[Block]:
+def _half_mu_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
     """Every ordered pair of non-principal ideals, one text block per ideal A.
 
     Row p of the tables takes its entries before p from earlier engine
-    calls. Rows go out in canonical order of A, by mu of B within a row.
+    calls. Rows go out in canonical order of A, by mu of B within a row;
+    the block of ideal p carries the stats of row p's engine call.
     """
     s = make_semigroup((a, b))
     engine = TauEngine(s)
-    canonical = [g for g in canonical_ideal_gens(s, window, mu_max)
-                 if len(g) >= 2]
+    canonical = [g for g in canonical_ideal_gens(s, spec.window_for(a, b),
+                                                 spec.mu_max) if len(g) >= 2]
     if not canonical:
         return
     ideals = sorted(canonical, key=len)
@@ -163,12 +167,13 @@ def _half_mu_records(a: int, b: int, window: int, mu_max: int,
     batch = engine.pack(ideals, max(g[-1] for g in ideals))
     taus: list[list[int]] = []  # the rows of the tau and support tables
     supports: list[list[int]] = []
+    row_stats = []
     for p, ga in enumerate(ideals):
         ts, cs = engine.tau_support_batch(ga, batch.suffix(p))
         taus.append([row[p] for row in taus] + ts)
         supports.append([row[p] for row in supports] + cs)
         mms = [mus[p] * mb for mb in mus[p:]]
-        _fold_stats(stats, {
+        row_stats.append({
             "min_two_tau_minus_mu_mu": min(map(sub, map(add, ts, ts), mms)),
             "min_tau_plus_support_minus_mu_mu":
                 min(map(sub, map(add, ts, cs), mms)),
@@ -186,15 +191,14 @@ def _half_mu_records(a: int, b: int, window: int, mu_max: int,
                for t, c, mb in zip(taus[p], supports[p], mus)]
         lines = [f'{heads[ok]}{tail}{c},"tau":{t}}}\n' for ok, tail, t, c
                  in zip(oks, tails[mu_a], taus[p], supports[p])]
-        yield _block(lines, oks)
+        yield _block(lines, oks, row_stats[p])
 
 
-def _dual_records(a: int, b: int, window: int, mu_max: int,
-                  stats: dict) -> Iterator[Block]:
+def _dual_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
     h = make_hypersurface(a, b)
     s = h.base
     lines, oks = [], []
-    for gens in canonical_ideal_gens(s, window, mu_max):
+    for gens in canonical_ideal_gens(s, spec.window_for(a, b), spec.mu_max):
         ideal = make_ideal(s, gens)
         via_formula = dual_formula(h, ideal)
         via_scan = ideal_dual(ideal)
@@ -207,20 +211,18 @@ def _dual_records(a: int, b: int, window: int, mu_max: int,
                      f'"dual":"{_gens_key(via_formula.min_gens)}",'
                      f'"gens_A":"{_gens_key(gens)}",'
                      f'"routes_agree":{_flag(routes_agree)}}}\n')
-    yield _block(lines, oks)
+    yield _block(lines, oks, {})
 
 
-def _hw_records(a: int, b: int, window: int, mu_max: int,
-                stats: dict) -> Iterator[Block]:
+def _hw_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
     report = hw_check_semigroup(make_semigroup((a, b)))
     counts = list(report.per_gap.values())
     low, high = (min(counts), max(counts)) if counts else ("null", "null")
-    if counts:
-        _fold_stats(stats, {"min_count": low, "max_count": high})
     ok = _flag(report.all_positive)
     yield _block([f'{{"a":{a},"all_positive":{ok},"b":{b},"bound_ok":{ok},'
                   f'"gap_count":{len(counts)},"max_count":{high},'
-                  f'"min_count":{low}}}\n'], [report.all_positive])
+                  f'"min_count":{low}}}\n'], [report.all_positive],
+                 {"min_count": low, "max_count": high} if counts else {})
 
 
 def _oracle_compare_records(spec: SearchSpec) -> Iterator[Block]:
@@ -249,7 +251,7 @@ def _oracle_compare_records(spec: SearchSpec) -> Iterator[Block]:
                      f'"gens_A":"{_gens_key(ia.min_gens)}",'
                      f'"gens_B":"{_gens_key(ib.min_gens)}"}}\n')
         if n % 100 == 0 or n == spec.samples:
-            yield _block(lines, oks)
+            yield _block(lines, oks, {})
             lines, oks = [], []
 
 
@@ -257,16 +259,14 @@ _MODE_RUNNERS = {
     "half-mu-bound": _half_mu_records,
     "dual-consistency": _dual_records,
     "hw": _hw_records,
+    "oracle-compare": _oracle_compare_records,
 }
+MODES = tuple(_MODE_RUNNERS)
 
 
-def _run_task(task: tuple,
-              lazy: bool = False) -> tuple[Iterable[Block], dict]:
-    """A task's text blocks (a list, or lazy) and the stats they fill."""
-    mode, a, b, window, mu_max = task
-    stats: dict = {}
-    blocks = _MODE_RUNNERS[mode](a, b, window, mu_max, stats)
-    return (blocks if lazy else list(blocks)), stats
+def _task_blocks(spec: SearchSpec, task: tuple) -> list[Block]:
+    """A task's blocks as one list, for a pool worker to send back."""
+    return list(_MODE_RUNNERS[spec.mode](spec, *task))
 
 
 def run_search(spec: SearchSpec) -> SearchSummary:
@@ -278,34 +278,29 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     error, or a dead worker, removes it and cancels the queued tasks.
     """
     summary = SearchSummary(mode=spec.mode)
+    tasks = ([()] if spec.mode == "oracle-compare"
+             else coprime_pairs(spec.ab_max))
     part = f"{spec.output_path}.part"
     try:
         out = open(part, "w") if spec.output_path else None
     except OSError as exc:  # name the path asked for, not the part file
         raise OSError(exc.errno, exc.strerror, spec.output_path) from None
-    pool = None
-    done = False
+    pool, done = None, False
     try:
-        if spec.mode == "oracle-compare":
-            chunks: Iterable[tuple[Iterable[Block], dict]] = [
-                (_oracle_compare_records(spec), {})]
+        if spec.parallelism > 1 and len(tasks) > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(spec.parallelism)
+            chunks: Iterable = pool.map(partial(_task_blocks, spec), tasks)
         else:
-            tasks = [(spec.mode, a, b, spec.window_for(a, b), spec.mu_max)
-                     for a, b in coprime_pairs(spec.ab_max)]
-            if spec.parallelism > 1 and len(tasks) > 1:
-                pool = concurrent.futures.ProcessPoolExecutor(spec.parallelism)
-                chunks = pool.map(_run_task, tasks)
-            else:
-                chunks = (_run_task(t, lazy=True) for t in tasks)
-        for blocks, stats in chunks:
-            for text, count, failed in blocks:
+            chunks = (_MODE_RUNNERS[spec.mode](spec, *task) for task in tasks)
+        for blocks in chunks:
+            for text, count, failed, stats in blocks:
                 summary.records += count
                 summary.violation_count += len(failed)
                 for failure in failed[:100 - len(summary.violations)]:
                     summary.violations.append(json.loads(failure))
                 if out is not None:
                     out.write(text)
-            _fold_stats(summary.stats, stats)
+                _fold_stats(summary.stats, stats)
         done = True
     finally:
         if pool is not None:

@@ -207,11 +207,20 @@ class TestSearch:
         del args["command"], args["func"]
         assert args == asdict(SearchSpec(mode=mode))
 
+    def test_mode_choices_are_the_modes(self):
+        # the CLI offers exactly the driver's runners, in their order
+        subparsers = build_parser()._subparsers._group_actions[0]
+        mode = next(action for action in subparsers.choices["search"]._actions
+                    if action.dest == "mode")
+        assert tuple(mode.choices) == MODES == tuple(search._MODE_RUNNERS)
+        assert MODES == ("half-mu-bound", "dual-consistency", "hw",
+                         "oracle-compare")
+
     def test_violations_printed_at_most_ten(self, capsys, monkeypatch):
         # every record fails: all are counted, the first ten printed
-        def failing(a, b, window, mu_max, stats):
+        def failing(spec, a, b):
             line = f'{{"a":{a},"b":{b},"bound_ok":false}}\n'
-            yield line, 1, [line]
+            yield line, 1, [line], {}
 
         monkeypatch.setitem(search._MODE_RUNNERS, "hw", failing)
         code, out, _ = run(capsys, "search", "--mode", "hw", "--ab-max", "40")
@@ -253,10 +262,10 @@ class TestSearch:
                 "import semitorsion.search as search\n"
                 "from semitorsion.cli import main\n"
                 "runner = search._MODE_RUNNERS['hw']\n"
-                "def dying(a, b, *args):\n"
+                "def dying(spec, a, b):\n"
                 "    if (a, b) == (3, 4):\n"
                 "        os._exit(1)\n"
-                "    yield from runner(a, b, *args)\n"
+                "    yield from runner(spec, a, b)\n"
                 "search._MODE_RUNNERS['hw'] = dying\n"
                 "sys.exit(main(['search', '--mode', 'hw', '--ab-max', '40', "
                 "'--jobs', '2', '--out', sys.argv[2]]))\n")

@@ -47,7 +47,8 @@ class TestEnumeration:
         assert len(set(gens)) == len(gens)
         for g in gens:
             assert g[0] == 0 and len(g) <= 4 and all(x < 11 for x in g)
-            assert make_ideal(s, g).min_gens == g
+            assert semigroup.minimal_generators_of_set(
+                s, make_ideal(s, g).set) == g
 
     def test_canonical_ideals_complete(self):
         # every minimal tuple through the window shows up
@@ -258,13 +259,23 @@ class TestSpec:
 
 
 class TestRunSearch:
-    def test_half_mu_counts_and_summary(self):
+    def test_half_mu_counts_and_summary(self, tmp_path):
+        # the stats each block carries fold to the extremes of the records
+        out = tmp_path / "half_mu.jsonl"
         summary = run_search(SearchSpec(ab_max=20, mode="half-mu-bound",
-                                        mu_max=3))
+                                        mu_max=3, output_path=str(out)))
+        records = written_records(out)
         assert summary.ok and summary.violation_count == 0
-        assert summary.records > 0
+        assert summary.records == len(records) > 0
         assert summary.stats["min_two_tau_minus_mu_mu"] >= 0
         assert summary.stats["min_tau_plus_support_minus_mu_mu"] >= 0
+        assert summary.stats == {
+            "max_tau": max(r["tau"] for r in records),
+            "min_two_tau_minus_mu_mu": min(
+                2 * r["tau"] - r["mu_A"] * r["mu_B"] for r in records),
+            "min_tau_plus_support_minus_mu_mu": min(
+                r["tau"] + r["support"] - r["mu_A"] * r["mu_B"]
+                for r in records)}
 
     def test_dual_consistency(self, tmp_path):
         out = tmp_path / "dual.jsonl"
@@ -298,7 +309,9 @@ class TestRunSearch:
         # a record reads the minimal generators of two ideals only: the
         # ideal's (for the formula and the scan) and the formula dual's
         # (for the record and the bidual); the scan and reflection duals
-        # and the bidual compare by set. Each semigroup scans its own.
+        # and the bidual compare by set. `make_ideal` keeps both, since
+        # the canonical tuple and the formula's output are minimal as
+        # given, so only each semigroup scans its own.
         calls = collections.Counter()
 
         def counted(name, f):
@@ -320,7 +333,7 @@ class TestRunSearch:
         records = summary.records
         assert summary.ok and records == 87
         assert calls["semigroups"] == len(coprime_pairs(30))
-        scans_per_record, makes_per_record = 2, 3
+        scans_per_record, makes_per_record = 0, 3
         assert calls["scans"] == (scans_per_record * records
                                   + calls["semigroups"]), calls
         assert calls["makes"] == makes_per_record * records, calls
@@ -333,6 +346,9 @@ class TestRunSearch:
         assert summary.ok and all(r["bound_ok"] for r in records)
         assert summary.records == len(records) == len(coprime_pairs(20))
         assert summary.stats["min_count"] >= 1
+        assert summary.stats == {
+            "min_count": min(r["min_count"] for r in records),
+            "max_count": max(r["max_count"] for r in records)}
 
     def test_oracle_compare(self, tmp_path):
         out = tmp_path / "oracle.jsonl"
@@ -405,24 +421,26 @@ class TestRunSearch:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
+        # one driver for every mode; oracle-compare has one task, so its
+        # --jobs 2 run stays in-process
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        for mode in ("dual-consistency", "half-mu-bound", "hw"):
+        for mode in search.MODES:
             runs = [run_search(SearchSpec(ab_max=18, mode=mode, mu_max=3,
-                                          parallelism=jobs,
+                                          parallelism=jobs, samples=30,
                                           output_path=str(path)))
                     for jobs, path in ((1, serial), (2, parallel))]
             assert serial.read_bytes() == parallel.read_bytes(), mode
-            assert runs[0] == runs[1], mode
+            assert runs[0] == runs[1] and runs[0].records > 0, mode
 
     def test_failed_run_leaves_output_alone(self, monkeypatch, tmp_path):
         # the runner fails on the fourth semigroup, after three records
         true_runner = search._MODE_RUNNERS["hw"]
 
-        def failing(a, b, window, mu_max, stats):
+        def failing(spec, a, b):
             if (a, b) == (3, 4):
                 raise RuntimeError("runner failed")
-            yield from true_runner(a, b, window, mu_max, stats)
+            yield from true_runner(spec, a, b)
 
         monkeypatch.setitem(search._MODE_RUNNERS, "hw", failing)
         fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"

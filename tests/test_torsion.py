@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import semitorsion.torsion as torsion
 from conftest import naive_fiber_classes
 from semitorsion import (CofiniteSet, SemigroupMismatchError, TauEngine,
-                         TorsionProfile, fiber_class_count, fiber_graph,
+                         TorsionProfile, canonical_ideal_gens, coprime_pairs,
+                         fiber_class_count, fiber_graph,
                          graph_to_dot, ideal_intersect, ideal_shift, ideal_sum,
                          make_ideal, make_semigroup, scan_window,
                          splits_torsion_free, torsion_bound_with_correction,
@@ -203,6 +204,28 @@ class TestTorsionProfile:
         s = make_semigroup([1])
         p = torsion_profile(make_ideal(s, [3]), make_ideal(s, [5]))
         assert p.total == 0
+
+
+class TestMaximalIdeal:
+    def test_tau_of_m_is_mu_over_plane_curves(self):
+        # m kills T(m (x) B) = Tor_1(k, B), so tau(m, B) is the number of
+        # minimal relations of B; over <a,b> a non-principal B has mu_B
+        # of them (matrix factorizations), each in its own degree.
+        # Window F + 1 lists every ideal up to shift.
+        checked = 0
+        for a, b in coprime_pairs(60):
+            s = make_semigroup((a, b))
+            engine = TauEngine(s)
+            m = (0, b - a)  # (a, b) shifted down by a
+            ideal_m = make_ideal(s, m)
+            for gb in canonical_ideal_gens(s, s.frobenius + 1, 3)[1:]:
+                mu = len(gb)
+                for profile in (engine.profile(m, gb),
+                                torsion_profile(ideal_m, make_ideal(s, gb))):
+                    assert (profile.total, profile.support_size) == (mu, mu), (
+                        (a, b), gb)
+                checked += 1
+        assert checked == 1475
 
 
 class TestFiberClassCount:
