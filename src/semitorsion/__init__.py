@@ -2,11 +2,11 @@
 semigroup tensor products."""
 
 from .cofinite import CofiniteSet
-from .hypersurface import (BoundaryCycle, HalfMuReport, HypersurfaceSemigroup,
-                           LatticeClass, OrderedGenerators, boundary_cycle,
+from .hypersurface import (BoundaryCycle, HalfMuReport, LatticeClass,
+                           OrderedGenerators, boundary_cycle,
                            check_half_mu_bound, dual_formula, dual_symmetric,
-                           lattice_normalize, make_hypersurface,
-                           ordered_generators, torsion_generator_pairs)
+                           lattice_normalize, ordered_generators,
+                           torsion_generator_pairs)
 from .huneke_wiegand import (HWReport, RouteDisagreementError, TripleReport,
                              hw_check_semigroup, irreducible_triples,
                              torsion_length_2gen)
@@ -30,7 +30,6 @@ __all__ = [
     "RelativeIdeal",
     "FiberGraph",
     "TorsionProfile",
-    "HypersurfaceSemigroup",
     "LatticeClass",
     "OrderedGenerators",
     "BoundaryCycle",
@@ -58,7 +57,6 @@ __all__ = [
     "torsion_bound_with_correction",
     "graph_to_dot",
     "scan_window",
-    "make_hypersurface",
     "lattice_normalize",
     "ordered_generators",
     "boundary_cycle",

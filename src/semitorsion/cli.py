@@ -13,7 +13,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, fields
 
 from .cofinite import bit_positions
-from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
+from .hypersurface import dual_formula, dual_symmetric
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
 from .search import MODES, SearchSpec, run_search
@@ -82,11 +82,9 @@ def cmd_dual(args) -> int:
     if args.method == "bruteforce":
         dual = ideal_dual(ideal)
     elif args.method == "formula":
-        if len(s.generators) != 2:
-            raise ValueError("--method formula needs a two-generated semigroup")
-        dual = dual_formula(make_hypersurface(*s.generators), ideal)
+        dual = dual_formula(ideal)
     else:
-        dual = dual_symmetric(s, ideal)
+        dual = dual_symmetric(ideal)
     print(",".join(str(g) for g in dual.min_gens))
     return 0
 

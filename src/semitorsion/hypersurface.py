@@ -6,19 +6,19 @@ plane; their generators carry a cyclic order read off from the key
 (b*x - a*y) mod (a^2 + b^2), which is representative-independent.
 The dual has an explicit generator formula in the ordered generator
 coordinates (int lists from one checked reader), and a reflection
-formula z -> F - z holds over any symmetric semigroup.
+formula z -> F - z holds over any symmetric semigroup. Each function
+reads S off its ideal, and `_plane` alone checks that S is <a, b>.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import gt
 
 from .cofinite import CofiniteSet, reverse_bits
 from .ideals import (RelativeIdeal, _check_over, apery_set, ideal_sum,
                      make_ideal)
-from .semigroup import NumericalSemigroup, make_semigroup
+from .semigroup import NumericalSemigroup
 from .torsion import TauEngine
 
 
@@ -30,28 +30,20 @@ class LatticeClass:
     y: int
 
 
-@dataclass(frozen=True)
-class HypersurfaceSemigroup:
-    a: int
-    b: int
-    base: NumericalSemigroup
-    a_inverse: int = field(compare=False, repr=False)  # a^-1 mod b
+def _plane(s: NumericalSemigroup) -> tuple[int, int, int]:
+    """(a, b, a^-1 mod b) for S = <a, b>; S is coprime by construction."""
+    if len(s.generators) != 2:
+        raise ValueError(f"{s!r} is not two-generated")
+    a, b = s.generators
+    return a, b, pow(a, -1, b)
 
 
-def make_hypersurface(a: int, b: int) -> HypersurfaceSemigroup:
-    if not (b > a > 1):
-        raise ValueError(f"need b > a > 1, got a={a}, b={b}")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"a={a} and b={b} are not coprime")
-    return HypersurfaceSemigroup(a, b, make_semigroup((a, b)), pow(a, -1, b))
-
-
-def lattice_normalize(h: HypersurfaceSemigroup, g: int,
+def lattice_normalize(s: NumericalSemigroup, g: int,
                       x_lo: int = 0) -> LatticeClass:
     """The representative (x, y) of the class of value g with x in [x_lo, x_lo+b)."""
-    r = h.a_inverse * g % h.b
-    x = x_lo + (r - x_lo) % h.b
-    return LatticeClass(x, (g - h.a * x) // h.b)
+    a, b, a_inverse = _plane(s)
+    x = x_lo + (a_inverse * g - x_lo) % b
+    return LatticeClass(x, (g - a * x) // b)
 
 
 @dataclass(frozen=True)
@@ -67,31 +59,30 @@ class OrderedGenerators:
     psi_values: tuple[int, ...]
 
 
-def _ordered_coordinates(h: HypersurfaceSemigroup,
-                         ideal: RelativeIdeal) -> tuple[list[int], list[int]]:
-    """Generator x and y lists, by x in [0, b); the chain is checked."""
-    _check_over(h.base, ideal)
-    pairs = sorted((h.a_inverse * g % h.b, g) for g in ideal.min_gens)
+def _ordered_coordinates(
+        ideal: RelativeIdeal) -> tuple[int, int, list[int], list[int]]:
+    """a, b and the generator x and y lists by x in [0, b), chain checked."""
+    a, b, a_inverse = _plane(ideal.semigroup)
+    pairs = sorted((a_inverse * g % b, g) for g in ideal.min_gens)
     xs = [x for x, _ in pairs]
-    ys = [(g - h.a * x) // h.b for x, g in pairs]
+    ys = [(g - a * x) // b for x, g in pairs]
     # ties in x sort by g, so by y: falling ys also rule out a repeated x
-    if not all(map(gt, ys, ys[1:])) or ys[-1] <= ys[0] - h.a:
+    if not all(map(gt, ys, ys[1:])) or ys[-1] <= ys[0] - a:
         raise RuntimeError(
             f"generator chain of {ideal!r} is not ordered: x={xs}, y={ys}")
-    return xs, ys
+    return a, b, xs, ys
 
 
-def ordered_generators(h: HypersurfaceSemigroup,
-                       ideal: RelativeIdeal) -> OrderedGenerators:
-    xs, ys = _ordered_coordinates(h, ideal)
+def ordered_generators(ideal: RelativeIdeal) -> OrderedGenerators:
+    a, b, xs, ys = _ordered_coordinates(ideal)
     return OrderedGenerators(tuple(map(LatticeClass, xs, ys)),
-                             tuple(h.a * x + h.b * y for x, y in zip(xs, ys)))
+                             tuple(a * x + b * y for x, y in zip(xs, ys)))
 
 
-def _cyclic_key(h: HypersurfaceSemigroup, p: LatticeClass) -> int:
+def _cyclic_key(a: int, b: int, p: LatticeClass) -> int:
     # (b*x - a*y) changes by exactly a^2 + b^2 across representatives,
     # so the residue is class-invariant.
-    return (h.b * p.x - h.a * p.y) % (h.a * h.a + h.b * h.b)
+    return (b * p.x - a * p.y) % (a * a + b * b)
 
 
 @dataclass(frozen=True)
@@ -107,19 +98,18 @@ class BoundaryCycle:
         return tuple(p for p, m in zip(self.cycle, self.maximal_flags) if m)
 
 
-def boundary_cycle(h: HypersurfaceSemigroup,
-                   ideal: RelativeIdeal) -> BoundaryCycle:
+def boundary_cycle(ideal: RelativeIdeal) -> BoundaryCycle:
     """Apery set of a+b as a cycle, with maximal corners flagged.
 
     A boundary class is maximal when stepping one unit down in either
     coordinate stays inside the ideal, i.e. both value - a and
     value - b are members.
     """
-    _check_over(h.base, ideal)
+    a, b, _ = _plane(ideal.semigroup)
     entries = []
-    for g in sorted(apery_set(ideal, h.a + h.b)):
-        p = lattice_normalize(h, g)
-        entries.append((_cyclic_key(h, p), p, g))
+    for g in sorted(apery_set(ideal, a + b)):
+        p = lattice_normalize(ideal.semigroup, g)
+        entries.append((_cyclic_key(a, b, p), p, g))
     entries.sort(key=lambda e: e[0])  # classes do not order: keys only
     keys = tuple(k for k, _, _ in entries)
     if len(set(keys)) != len(keys):
@@ -127,32 +117,30 @@ def boundary_cycle(h: HypersurfaceSemigroup,
     return BoundaryCycle(
         tuple(p for _, p, _ in entries),
         keys,
-        tuple((g - h.a) in ideal.set and (g - h.b) in ideal.set
+        tuple((g - a) in ideal.set and (g - b) in ideal.set
               for _, _, g in entries),
     )
 
 
-def dual_formula(h: HypersurfaceSemigroup,
-                 ideal: RelativeIdeal) -> RelativeIdeal:
+def dual_formula(ideal: RelativeIdeal) -> RelativeIdeal:
     """Dual ideal from the ordered generator coordinates.
 
     With generators at (x_i, y_i) the dual is generated by
     -a*x_1 - b*y_n together with ab - a*x_{i+1} - b*y_i. Minimality of
     the produced set is checked by `make_ideal`, not assumed.
     """
-    xs, ys = _ordered_coordinates(h, ideal)
-    gens = [-h.a * xs[0] - h.b * ys[-1]]
-    gens.extend(h.a * (h.b - x) - h.b * y for x, y in zip(xs[1:], ys))
-    return make_ideal(h.base, gens)
+    a, b, xs, ys = _ordered_coordinates(ideal)
+    gens = [-a * xs[0] - b * ys[-1]]
+    gens.extend(a * (b - x) - b * y for x, y in zip(xs[1:], ys))
+    return make_ideal(ideal.semigroup, gens)
 
 
-def dual_symmetric(s: NumericalSemigroup,
-                   ideal: RelativeIdeal) -> RelativeIdeal:
+def dual_symmetric(ideal: RelativeIdeal) -> RelativeIdeal:
     """Dual via the reflection z in dual iff F - z not in the ideal.
 
     Valid exactly over symmetric semigroups.
     """
-    _check_over(s, ideal)
+    s = ideal.semigroup
     if not s.is_symmetric():
         raise ValueError(f"{s!r} is not symmetric")
     # z in [F + 1 - threshold, F + 1 - min) maps to F - z in the ideal's
@@ -174,17 +162,18 @@ class HalfMuReport:
     inequality_2: bool  # 2 * tau >= mu(A) * mu(B)
 
 
-def check_half_mu_bound(h: HypersurfaceSemigroup, a: RelativeIdeal,
-                        b: RelativeIdeal) -> HalfMuReport:
+def check_half_mu_bound(a: RelativeIdeal, b: RelativeIdeal) -> HalfMuReport:
     """Evaluate both generator-count lower bounds on the torsion total.
 
     Only defined for non-principal ideals; for principal ones the
-    torsion total is zero and the bounds do not apply.
+    torsion total is zero and the bounds do not apply. Both are reported
+    over any S but are theorems only over two-generated ones; elsewhere
+    a false inequality is a finding, not an error.
     """
-    _check_over(h.base, a, b)
+    _check_over(a.semigroup, b)
     if a.is_principal or b.is_principal:
         raise ValueError("bounds require non-principal ideals")
-    profile = TauEngine(h.base).profile(a.min_gens, b.min_gens)
+    profile = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens)
     mm = a.mu * b.mu
     return HalfMuReport(
         tau=profile.total,
@@ -195,8 +184,7 @@ def check_half_mu_bound(h: HypersurfaceSemigroup, a: RelativeIdeal,
     )
 
 
-def torsion_generator_pairs(h: HypersurfaceSemigroup,
-                            ideal: RelativeIdeal) -> int:
+def torsion_generator_pairs(ideal: RelativeIdeal) -> int:
     """Generator pairs of (ideal, dual) that can be made torsion.
 
     The product ideal C = A + A* needs one generator pair per minimal
@@ -204,6 +192,6 @@ def torsion_generator_pairs(h: HypersurfaceSemigroup,
     non-generator of C or duplicates a degree already covered, and the
     corresponding tensor generator can be replaced by a torsion element.
     """
-    dual = dual_formula(h, ideal)
+    dual = dual_formula(ideal)
     product = ideal_sum(ideal, dual)
     return ideal.mu * dual.mu - product.mu

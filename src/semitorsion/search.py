@@ -37,7 +37,7 @@ from functools import partial
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .hypersurface import dual_formula, dual_symmetric, make_hypersurface
+from .hypersurface import dual_formula, dual_symmetric
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import RelativeIdeal, ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
@@ -195,16 +195,15 @@ def _half_mu_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
 
 
 def _dual_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
-    h = make_hypersurface(a, b)
-    s = h.base
+    s = make_semigroup((a, b))
     lines, oks = [], []
     for gens in canonical_ideal_gens(s, spec.window_for(a, b), spec.mu_max):
         ideal = make_ideal(s, gens)
-        via_formula = dual_formula(h, ideal)
+        via_formula = dual_formula(ideal)
         via_scan = ideal_dual(ideal)
-        via_reflection = dual_symmetric(s, ideal)
+        via_reflection = dual_symmetric(ideal)
         routes_agree = (via_formula == via_scan == via_reflection)
-        bidual_ok = dual_formula(h, via_formula) == ideal
+        bidual_ok = dual_formula(via_formula) == ideal
         oks.append(routes_agree and bidual_ok)
         lines.append(f'{{"a":{a},"b":{b},"bidual_ok":{_flag(bidual_ok)},'
                      f'"bound_ok":{_flag(oks[-1])},'
@@ -286,9 +285,10 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     except OSError as exc:  # name the path asked for, not the part file
         raise OSError(exc.errno, exc.strerror, spec.output_path) from None
     pool, done = None, False
+    workers = min(spec.parallelism, len(tasks))  # every worker starts at once
     try:
-        if spec.parallelism > 1 and len(tasks) > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(spec.parallelism)
+        if workers > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(workers)
             chunks: Iterable = pool.map(partial(_task_blocks, spec), tasks)
         else:
             chunks = (_MODE_RUNNERS[spec.mode](spec, *task) for task in tasks)

@@ -15,8 +15,8 @@ from semitorsion import (CofiniteSet, TauEngine, boundary_cycle,
                          canonical_ideal_gens, coprime_pairs, dual_formula,
                          dual_symmetric, fiber_class_count, fiber_graph,
                          hw_check_semigroup, ideal_dual, ideal_shift,
-                         ideal_sum, make_hypersurface, make_ideal,
-                         make_semigroup, ordered_generators, scan_window,
+                         ideal_sum, make_ideal, make_semigroup,
+                         ordered_generators, scan_window,
                          splits_torsion_free, torsion_bound_with_correction,
                          torsion_generator_pairs, torsion_length_2gen,
                          torsion_profile)
@@ -78,16 +78,15 @@ def test_criterion_3_torsion_free_pair_and_split():
 
 
 def test_criterion_4_boundary_cycle():
-    h = make_hypersurface(5, 7)
-    a = make_ideal(h.base, [17, 21, 25])
-    bc = boundary_cycle(h, a)
+    a = make_ideal(make_semigroup([5, 7]), [17, 21, 25])
+    bc = boundary_cycle(a)
     got = [(p.x, p.y) for p in bc.cycle]
     expected = [(0, 5), (0, 4), (0, 3), (1, 3), (2, 3), (2, 2), (2, 1),
                 (3, 1), (4, 1), (5, 1), (5, 0), (6, 0)]
     k = got.index((0, 5)) if (0, 5) in got else -1
     cycle_ok = k >= 0 and got[k:] + got[:k] == expected
     max_ok = {(p.x, p.y) for p in bc.maximal_classes} == {(0, 5), (2, 3), (5, 1)}
-    og = ordered_generators(h, a)
+    og = ordered_generators(a)
     og_ok = [(p.x, p.y) for p in og.pairs] == [(0, 3), (2, 1), (5, 0)]
     report("4", cycle_ok and max_ok and og_ok,
            "12-class cycle, maximal corners, ordered generators")
@@ -106,10 +105,9 @@ def test_criterion_5_degree_44_discrepancy():
 
 
 def test_criterion_6_dual_three_routes():
-    h = make_hypersurface(5, 7)
-    a = make_ideal(h.base, [17, 21, 25])
-    routes = (dual_formula(h, a).min_gens, ideal_dual(a).min_gens,
-              dual_symmetric(h.base, a).min_gens)
+    a = make_ideal(make_semigroup([5, 7]), [17, 21, 25])
+    routes = (dual_formula(a).min_gens, ideal_dual(a).min_gens,
+              dual_symmetric(a).min_gens)
     report("6", all(r == (0, 3, 4) for r in routes),
            "formula = scan = reflection = (0,3,4)")
 
@@ -164,15 +162,13 @@ def test_criterion_7_1_and_7_6_tau_bounds_symmetry(exhaustive_ideals):
 def test_criterion_7_2_dual_consistency(exhaustive_ideals):
     mismatches = 0
     checked = 0
-    for (a, b), (s, gens) in exhaustive_ideals.items():
-        h = make_hypersurface(a, b)
+    for s, gens in exhaustive_ideals.values():
         for g in gens:
             ideal = make_ideal(s, g)
-            via_formula = dual_formula(h, ideal)
+            via_formula = dual_formula(ideal)
             checked += 1
-            if not (via_formula == ideal_dual(ideal)
-                    == dual_symmetric(h.base, ideal)
-                    and dual_formula(h, via_formula) == ideal):
+            if not (via_formula == ideal_dual(ideal) == dual_symmetric(ideal)
+                    and dual_formula(via_formula) == ideal):
                 mismatches += 1
     report("7.2", mismatches == 0,
            f"three dual routes and biduality on {checked} ideals")
@@ -181,12 +177,11 @@ def test_criterion_7_2_dual_consistency(exhaustive_ideals):
 def test_criterion_7_3_torsion_generator_pairs(exhaustive_ideals):
     violations = 0
     checked = 0
-    for (a, b), (s, gens) in exhaustive_ideals.items():
-        h = make_hypersurface(a, b)
+    for s, gens in exhaustive_ideals.values():
         for g in gens:
             ideal = make_ideal(s, g)
             checked += 1
-            if torsion_generator_pairs(h, ideal) < 2 * ideal.mu - 2:
+            if torsion_generator_pairs(ideal) < 2 * ideal.mu - 2:
                 violations += 1
     report("7.3", violations == 0,
            f"torsion generator count >= 2*mu-2 on {checked} ideals")

@@ -9,26 +9,25 @@ from hypothesis import strategies as st
 from conftest import naive_fiber_classes
 from semitorsion import (TauEngine, boundary_cycle, check_half_mu_bound,
                          dual_formula, dual_symmetric, fiber_class_count,
-                         fiber_graph, ideal_dual, ideal_shift,
-                         make_hypersurface, make_ideal,
+                         fiber_graph, ideal_dual, ideal_shift, make_ideal,
                          make_semigroup, ordered_generators, scan_window,
                          splits_torsion_free, torsion_generator_pairs,
                          torsion_profile)
 
 
 @st.composite
-def hypersurface_pairs(draw):
+def two_generated_semigroups(draw):
     a = draw(st.integers(2, 6))
     b = draw(st.integers(a + 1, 13).filter(lambda x: math.gcd(a, x) == 1))
-    return make_hypersurface(a, b)
+    return make_semigroup((a, b))
 
 
 @st.composite
 def hypersurface_ideal(draw):
-    h = draw(hypersurface_pairs())
+    s = draw(two_generated_semigroups())
     size = draw(st.integers(1, 4))
     gens = draw(st.lists(st.integers(-10, 20), min_size=size, max_size=size))
-    return h, make_ideal(h.base, gens)
+    return make_ideal(s, gens)
 
 
 @st.composite
@@ -42,39 +41,35 @@ def general_ideal_pair(draw, max_gens=3):
 
 @given(hypersurface_ideal())
 @settings(max_examples=120, deadline=None)
-def test_dual_routes_and_biduality(hi):
-    h, a = hi
-    dual = dual_formula(h, a)
-    assert dual == ideal_dual(a) == dual_symmetric(h.base, a)
-    assert dual_formula(h, dual) == a
+def test_dual_routes_and_biduality(a):
+    dual = dual_formula(a)
+    assert dual == ideal_dual(a) == dual_symmetric(a)
+    assert dual_formula(dual) == a
 
 
 @given(hypersurface_ideal())
 @settings(max_examples=100, deadline=None)
-def test_ordered_generators_and_boundary(hi):
-    h, a = hi
-    og = ordered_generators(h, a)
+def test_ordered_generators_and_boundary(a):
+    og = ordered_generators(a)
     assert sorted(og.psi_values) == list(a.min_gens)
-    bc = boundary_cycle(h, a)
-    assert len(bc.cycle) == h.a + h.b
+    bc = boundary_cycle(a)
+    assert len(bc.cycle) == sum(a.semigroup.generators)
 
 
 @given(hypersurface_ideal())
 @settings(max_examples=80, deadline=None)
-def test_torsion_generator_pair_bound(hi):
-    h, a = hi
-    assert torsion_generator_pairs(h, a) >= 2 * a.mu - 2
+def test_torsion_generator_pair_bound(a):
+    assert torsion_generator_pairs(a) >= 2 * a.mu - 2
 
 
 @given(hypersurface_ideal(), st.lists(st.integers(-10, 20), min_size=1,
                                       max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_half_mu_bounds(hi, gens_b):
-    h, a = hi
-    b = make_ideal(h.base, gens_b)
+def test_half_mu_bounds(a, gens_b):
+    b = make_ideal(a.semigroup, gens_b)
     if a.is_principal or b.is_principal:
         return
-    report = check_half_mu_bound(h, a, b)
+    report = check_half_mu_bound(a, b)
     assert report.inequality_1 and report.inequality_2
 
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import multiprocessing.process
 import random
 from types import SimpleNamespace
 
@@ -292,8 +293,8 @@ class TestRunSearch:
         out = tmp_path / "dual.jsonl"
         for route, shift in (("dual_symmetric", 1), ("dual_formula", -3)):
             true_route = getattr(search, route)
-            monkeypatch.setattr(search, route, lambda h, ideal, f=true_route,
-                                by=shift: ideal_shift(f(h, ideal), by))
+            monkeypatch.setattr(search, route, lambda ideal, f=true_route,
+                                by=shift: ideal_shift(f(ideal), by))
             summary = run_search(SearchSpec(ab_max=20, mode="dual-consistency",
                                             mu_max=2, output_path=str(out)))
             monkeypatch.undo()
@@ -478,6 +479,33 @@ class TestRunSearch:
                                   output_path=str(out)))
         assert calls == [False, True]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hw.jsonl"]
+
+    def test_pool_sized_to_tasks(self, monkeypatch):
+        # a fork pool starts all of its workers on the first submit, so
+        # it must be no wider than the task list; the fake maps in
+        # process, and starting any process at all fails the test
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        def refuse(process):
+            raise AssertionError(f"started {process!r}")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        wide = run_search(SearchSpec(ab_max=20, mode="hw", parallelism=64))
+        assert sizes == [len(coprime_pairs(20))] == [7]
+        assert wide == run_search(SearchSpec(ab_max=20, mode="hw"))
 
 
 def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,31 @@ def test_one_public_list():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names}
     assert imported == set(public), (imported ^ set(public))
+
+
+def test_no_semigroup_beside_an_ideal():
+    # a relative ideal carries its semigroup, so a public function that
+    # took both could be handed two that disagree; annotations are read
+    # as written, since every module defers their evaluation
+    files, found = sorted(SRC.glob("*.py")), []
+    assert files, SRC
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("_")):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            names = [ast.unparse(p.annotation) if p.annotation else ""
+                     for p in params]
+            semigroups, ideals = ({i for i, text in enumerate(names)
+                                   if re.search(rf"\b{kind}\b", text)}
+                                  for kind in ("NumericalSemigroup",
+                                               "RelativeIdeal"))
+            if any(i != j for i in semigroups for j in ideals):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, found
 
 
 def test_one_version():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semitorsion.torsion as torsion
-from conftest import naive_fiber_classes
+from conftest import naive_betti_1, naive_fiber_classes
 from semitorsion import (CofiniteSet, SemigroupMismatchError, TauEngine,
                          TorsionProfile, canonical_ideal_gens, coprime_pairs,
                          fiber_class_count, fiber_graph,
@@ -226,6 +226,28 @@ class TestMaximalIdeal:
                         (a, b), gb)
                 checked += 1
         assert checked == 1475
+
+    def test_tau_of_m_is_betti_1(self):
+        # off <a,b> there is no mu-only form, so compare with beta_1(B)
+        # from its GF(p) definition, over random S with 2 to 5 generators
+        # below 25; the brute force gets B's generators as drawn
+        rng = random.Random(23)
+        pairs = past_mu = 0
+        for _ in range(80):
+            semi = rng.sample(range(2, 25), rng.randint(2, 5))
+            while math.gcd(*semi) != 1:
+                semi = rng.sample(range(2, 25), rng.randint(2, 5))
+            s = make_semigroup(semi)
+            engine = TauEngine(s)
+            for _ in range(16):
+                gens = rng.sample(range(30), rng.randint(2, 4))
+                gb = make_ideal(s, gens).min_gens
+                beta = naive_betti_1(semi, gens)
+                assert engine.profile(s.generators, gb).total == beta, (
+                    semi, gens)
+                pairs += 1
+                past_mu += beta > len(gb)
+        assert pairs == 1280 and past_mu > 100, past_mu
 
 
 class TestFiberClassCount:
