@@ -7,10 +7,7 @@ mathematical violation was found (search modes and the per-gap check).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from concurrent.futures import BrokenExecutor
-from dataclasses import MISSING, fields
 
 from .cofinite import bit_positions
 from .hypersurface import dual_formula, dual_symmetric
@@ -90,14 +87,16 @@ def cmd_dual(args) -> int:
 
 
 def cmd_hw(args) -> int:
+    import json  # here, not at the top: most calls print no JSON
     report = hw_check_semigroup(_semigroup(args.semigroup))
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return 0 if report.all_positive else 2
 
 
 def cmd_search(args) -> int:
-    spec = SearchSpec(**{f.name: getattr(args, f.name)
-                         for f in fields(SearchSpec)})
+    names = SearchSpec.__init__.__kwdefaults__  # every field but mode
+    spec = SearchSpec(mode=args.mode,
+                      **{name: getattr(args, name) for name in names})
     summary = run_search(spec)
     print(f"mode: {summary.mode}")
     print(f"records: {summary.records}")
@@ -105,6 +104,7 @@ def cmd_search(args) -> int:
     for key in sorted(summary.stats):
         print(f"{key}: {summary.stats[key]}")
     for record in summary.violations[:10]:
+        import json  # as in cmd_hw
         print(f"VIOLATION: {json.dumps(record, sort_keys=True)}")
     if spec.output_path:
         print(f"wrote: {spec.output_path}")
@@ -157,9 +157,8 @@ def build_parser() -> _Parser:
     p_search.add_argument("--samples", type=int,
                           help="tuples drawn in oracle-compare mode")
     # SearchSpec's defaults, set after the arguments so that they take them
-    p_search.set_defaults(func=cmd_search, **{
-        f.name: f.default for f in fields(SearchSpec)
-        if f.default is not MISSING})
+    p_search.set_defaults(func=cmd_search,
+                          **SearchSpec.__init__.__kwdefaults__)
     return parser
 
 
@@ -168,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, BrokenExecutor) as exc:
+    except (ValueError, OSError) as exc:
         print(f"semitorsion: error: {exc}", file=sys.stderr)
         return 1
 

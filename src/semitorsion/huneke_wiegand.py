@@ -21,7 +21,7 @@ then min P <= F is in G. Whether x is in G reads P only below x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cofinite import CofiniteSet, bit_positions
 from .ideals import ideal_dual, make_ideal
@@ -102,8 +102,7 @@ def torsion_length_2gen(s: NumericalSemigroup, n: int) -> int:
     return direct
 
 
-@dataclass(frozen=True)
-class HWReport:
+class HWReport(NamedTuple):
     semigroup: tuple[int, ...]
     per_gap: dict[int, int]
     min_irreducible: dict[int, int]

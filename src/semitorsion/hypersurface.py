@@ -12,8 +12,8 @@ reads S off its ideal, and `_plane` alone checks that S is <a, b>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt
+from typing import NamedTuple
 
 from .cofinite import CofiniteSet, reverse_bits
 from .ideals import (RelativeIdeal, _check_over, apery_set, ideal_sum,
@@ -22,8 +22,7 @@ from .semigroup import NumericalSemigroup
 from .torsion import TauEngine
 
 
-@dataclass(frozen=True)
-class LatticeClass:
+class LatticeClass(NamedTuple):
     """A chosen representative (x, y) of a class of Z^2 mod (b, -a)."""
 
     x: int
@@ -46,8 +45,7 @@ def lattice_normalize(s: NumericalSemigroup, g: int,
     return LatticeClass(x, (g - a * x) // b)
 
 
-@dataclass(frozen=True)
-class OrderedGenerators:
+class OrderedGenerators(NamedTuple):
     """Generator representatives with x1 < ... < xn < x1 + b.
 
     The matching chain y1 > ... > yn > y1 - a then holds as well; it is
@@ -85,8 +83,7 @@ def _cyclic_key(a: int, b: int, p: LatticeClass) -> int:
     return (b * p.x - a * p.y) % (a * a + b * b)
 
 
-@dataclass(frozen=True)
-class BoundaryCycle:
+class BoundaryCycle(NamedTuple):
     """Cyclically ordered lattice classes of the width-(a+b) Apery set."""
 
     cycle: tuple[LatticeClass, ...]
@@ -110,7 +107,7 @@ def boundary_cycle(ideal: RelativeIdeal) -> BoundaryCycle:
     for g in sorted(apery_set(ideal, a + b)):
         p = lattice_normalize(ideal.semigroup, g)
         entries.append((_cyclic_key(a, b, p), p, g))
-    entries.sort(key=lambda e: e[0])  # classes do not order: keys only
+    entries.sort()
     keys = tuple(k for k, _, _ in entries)
     if len(set(keys)) != len(keys):
         raise RuntimeError(f"duplicate cyclic keys in boundary of {ideal!r}")
@@ -153,8 +150,7 @@ def dual_symmetric(ideal: RelativeIdeal) -> RelativeIdeal:
     return RelativeIdeal(s, cset)
 
 
-@dataclass(frozen=True)
-class HalfMuReport:
+class HalfMuReport(NamedTuple):
     tau: int
     support: int
     mu_product: int

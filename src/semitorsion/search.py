@@ -21,20 +21,19 @@ values it formats and yields blocks through `_block`: one per ideal A in
 half-mu, one per semigroup in dual and hw, one per 100 samples in
 oracle-compare, so a long run still streams. A block carries its text,
 record count, failed lines and stats; `run_search` folds them in order.
-Every line is the one
-`json.dumps(record, sort_keys=True, separators=(",", ":"))` gives.
+Every line is the one `json.dumps(record, sort_keys=True,
+separators=(",", ":"))` gives. The spec and summary are plain
+`SimpleNamespace`s, and only a pool imports `concurrent.futures`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from operator import add, sub
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from .hypersurface import dual_formula, dual_symmetric
@@ -81,40 +80,34 @@ def canonical_ideal_gens(s: NumericalSemigroup, window: int,
     return out
 
 
-@dataclass
-class SearchSpec:  # the CLI's `search` takes its defaults from here
-    mode: str
-    ab_max: int = 35
-    gen_window: int = 0  # 0 means a + b per semigroup
-    mu_max: int = 3
-    output_path: str | None = None
-    parallelism: int = 1
-    seed: int = 0
-    samples: int = 200
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
+class SearchSpec(SimpleNamespace):  # `search` takes its defaults from here
+    def __init__(self, *, mode: str, ab_max: int = 35, gen_window: int = 0,
+                 mu_max: int = 3, output_path: str | None = None,
+                 parallelism: int = 1, seed: int = 0, samples: int = 200):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         for name, value, least in (
-                ("ab_max", self.ab_max, 6), ("mu_max", self.mu_max, 1),
-                ("parallelism (--jobs)", self.parallelism, 1),
-                ("gen_window", self.gen_window, 0),
-                ("samples", self.samples, 1)):
+                ("ab_max", ab_max, 6), ("mu_max", mu_max, 1),
+                ("parallelism (--jobs)", parallelism, 1),
+                ("gen_window", gen_window, 0), ("samples", samples, 1)):
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, "
                                  f"got {value}")
+        super().__init__(mode=mode, ab_max=ab_max, gen_window=gen_window,
+                         mu_max=mu_max, output_path=output_path,
+                         parallelism=parallelism, seed=seed, samples=samples)
+
+    def __reduce__(self):  # a pool worker gets the spec built, and checked
+        return partial(SearchSpec, **vars(self)), ()
 
     def window_for(self, a: int, b: int) -> int:
         return self.gen_window if self.gen_window else a + b
 
 
-@dataclass
-class SearchSummary:
-    mode: str
-    records: int = 0
-    violation_count: int = 0
-    violations: list[dict] = field(default_factory=list)  # first 100 kept
-    stats: dict = field(default_factory=dict)
+class SearchSummary(SimpleNamespace):
+    def __init__(self, mode: str):  # violations: the first 100 found
+        super().__init__(mode=mode, records=0, violation_count=0,
+                         violations=[], stats={})
 
     @property
     def ok(self) -> bool:
@@ -274,7 +267,8 @@ def run_search(spec: SearchSpec) -> SearchSummary:
     Records are emitted in sorted input order regardless of worker
     scheduling, so identical specs produce identical files. They go to
     `<output_path>.part`, renamed into place after the last record; an
-    error, or a dead worker, removes it and cancels the queued tasks.
+    error removes it and cancels the queued tasks. A dead worker raises
+    ChildProcessError.
     """
     summary = SearchSummary(mode=spec.mode)
     tasks = ([()] if spec.mode == "oracle-compare"
@@ -284,11 +278,13 @@ def run_search(spec: SearchSpec) -> SearchSummary:
         out = open(part, "w") if spec.output_path else None
     except OSError as exc:  # name the path asked for, not the part file
         raise OSError(exc.errno, exc.strerror, spec.output_path) from None
-    pool, done = None, False
+    pool, broken, done = None, (), False  # `except ()` catches nothing
     workers = min(spec.parallelism, len(tasks))  # every worker starts at once
     try:
         if workers > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(workers)
+            import concurrent.futures as futures  # only a pool pays its 10 ms
+            pool = futures.ProcessPoolExecutor(workers)
+            broken = futures.BrokenExecutor
             chunks: Iterable = pool.map(partial(_task_blocks, spec), tasks)
         else:
             chunks = (_MODE_RUNNERS[spec.mode](spec, *task) for task in tasks)
@@ -297,11 +293,14 @@ def run_search(spec: SearchSpec) -> SearchSummary:
                 summary.records += count
                 summary.violation_count += len(failed)
                 for failure in failed[:100 - len(summary.violations)]:
+                    import json  # only a failed bound is read back
                     summary.violations.append(json.loads(failure))
                 if out is not None:
                     out.write(text)
                 _fold_stats(summary.stats, stats)
         done = True
+    except broken as exc:  # an OSError, as the run failed, not the maths
+        raise ChildProcessError(f"a search worker died: {exc}") from None
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=not done)

@@ -22,16 +22,17 @@ window all come from the engine; `fiber_graph` states the edge rule
 for one degree, for display. The independent reference uses neither
 the edge ints nor the counter: a bit flood fill of the fibers by
 generator steps, one lane per degree, `fiber_class_count` over a
-window and `torsion_profile` over the scan window.
+window and `torsion_profile` over the scan window. The records are
+`NamedTuple`s and `Batch` a frozen plain class, free of `dataclasses`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, and_, or_
 from struct import iter_unpack
+from typing import NamedTuple
 
 from .cofinite import CofiniteSet, bit_positions, reverse_bits
 from .ideals import (RelativeIdeal, _check_over, ideal_intersect, ideal_sum,
@@ -74,17 +75,21 @@ def _component_reps(edges: list[list[int]]) -> list[int]:
     return reps
 
 
-@dataclass(frozen=True)
 class Batch:
     """Generator tuples as lanes, from `TauEngine.pack`: row j holds
     generator j of each tuple, and `keep` is the lane mask in each lane."""
 
-    semigroup: NumericalSemigroup
-    gbs: tuple[tuple[int, ...], ...]
-    spread: int
-    stride: int
-    keep: int
-    rows: tuple[int, ...]
+    __slots__ = ("semigroup", "gbs", "spread", "stride", "keep", "rows")
+
+    def __init__(self, semigroup: NumericalSemigroup,
+                 gbs: tuple[tuple[int, ...], ...], spread: int, stride: int,
+                 keep: int, rows: tuple[int, ...]) -> None:
+        for name, value in zip(Batch.__slots__, (semigroup, gbs, spread,
+                                                 stride, keep, rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Batch")
 
     def __len__(self) -> int:
         return len(self.gbs)
@@ -198,8 +203,7 @@ def _lane_counts(bits: int, lanes: int, stride: int) -> Sequence[int]:
     return sums.to_bytes((lanes + 1) * k, "little")[k - 1:lanes * k:k]
 
 
-@dataclass(frozen=True)
-class FiberGraph:
+class FiberGraph(NamedTuple):
     """Bipartite graph over z: v_i for generators of A, w_j for B.
 
     Vertex indices are 1-based. v_i is present when z - a_i lies in B,
@@ -227,14 +231,16 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     return FiberGraph(z, lefts, rights, edges, sum(_component_reps(grid)))
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
+class TorsionProfile(NamedTuple):
     """Torsion numbers of a pair of ideals, indexed by degree."""
 
     window: tuple[int, int]
-    tau_by_z: dict[int, int] = field(hash=False)
+    tau_by_z: dict[int, int]
     total: int = 0
     support_size: int = 0
+
+    def __hash__(self) -> int:  # the dict is compared, not hashed
+        return hash((self.window, self.total, self.support_size))
 
 
 def scan_window(a: RelativeIdeal, b: RelativeIdeal) -> tuple[int, int]:

@@ -5,7 +5,6 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -37,6 +36,20 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_budget(self):
+        # every cold start pays for what `import semitorsion.cli` loads:
+        # none of these is needed before a pool or a JSON print, if ever;
+        # -S keeps site's imports out
+        src = os.path.dirname(os.path.dirname(semitorsion.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import semitorsion.cli; print(*sys.modules)")
+        done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        loaded = set(done.stdout.split())
+        assert "semitorsion.search" in loaded
+        assert not loaded & {"dataclasses", "inspect", "concurrent.futures",
+                             "logging", "json", "numpy"}
 
 
 class TestInfo:
@@ -205,7 +218,7 @@ class TestSearch:
         # the parsed options are SearchSpec's fields at its defaults
         args = vars(build_parser().parse_args(["search", "--mode", mode]))
         del args["command"], args["func"]
-        assert args == asdict(SearchSpec(mode=mode))
+        assert args == vars(SearchSpec(mode=mode))
 
     def test_mode_choices_are_the_modes(self):
         # the CLI offers exactly the driver's runners, in their order
@@ -277,6 +290,32 @@ class TestSearch:
         assert done.returncode == 1, done.stderr
         assert done.stderr.count("\n") == 1, done.stderr
         assert done.stderr.startswith("semitorsion: error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dead_worker_raises_child_process_error(self, tmp_path):
+        # a library caller gets an OSError, the kind the CLI reports, and
+        # no part file; in a subprocess, as above
+        code = ("import os, sys; sys.path.insert(0, sys.argv[1])\n"
+                "import semitorsion.search as search\n"
+                "runner = search._MODE_RUNNERS['hw']\n"
+                "def dying(spec, a, b):\n"
+                "    if (a, b) == (3, 4):\n"
+                "        os._exit(1)\n"
+                "    yield from runner(spec, a, b)\n"
+                "search._MODE_RUNNERS['hw'] = dying\n"
+                "spec = search.SearchSpec(mode='hw', ab_max=40, parallelism=2,"
+                " output_path=sys.argv[2])\n"
+                "try:\n"
+                "    search.run_search(spec)\n"
+                "except ChildProcessError as exc:\n"
+                "    print(isinstance(exc, OSError), exc)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", code, src,
+                               str(tmp_path / "hw.jsonl")],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("True a search worker died: "), (
+            done.stdout)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value,name", [
