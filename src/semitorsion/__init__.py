@@ -3,10 +3,9 @@ semigroup tensor products."""
 
 from .cofinite import CofiniteSet
 from .hypersurface import (BoundaryCycle, HalfMuReport, LatticeClass,
-                           OrderedGenerators, boundary_cycle,
-                           check_half_mu_bound, dual_formula, dual_symmetric,
-                           lattice_normalize, ordered_generators,
-                           torsion_generator_pairs)
+                           boundary_cycle, check_half_mu_bound, dual_formula,
+                           dual_symmetric, lattice_normalize,
+                           ordered_generators, torsion_generator_pairs)
 from .huneke_wiegand import (HWReport, RouteDisagreementError, TripleReport,
                              hw_check_semigroup, irreducible_triples,
                              torsion_length_2gen)
@@ -31,7 +30,6 @@ __all__ = [
     "FiberGraph",
     "TorsionProfile",
     "LatticeClass",
-    "OrderedGenerators",
     "BoundaryCycle",
     "HalfMuReport",
     "TripleReport",

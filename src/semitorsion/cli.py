@@ -73,16 +73,14 @@ def cmd_tau(args) -> int:
     return 0
 
 
+_DUALS = {"formula": dual_formula, "bruteforce": ideal_dual,
+          "symmetric": dual_symmetric}  # --method: the route to the dual
+
+
 def cmd_dual(args) -> int:
-    s = _semigroup(args.semigroup)
-    ideal = make_ideal(s, _parse_ints(args.ideal_a, "ideal"))
-    if args.method == "bruteforce":
-        dual = ideal_dual(ideal)
-    elif args.method == "formula":
-        dual = dual_formula(ideal)
-    else:
-        dual = dual_symmetric(ideal)
-    print(",".join(str(g) for g in dual.min_gens))
+    ideal = make_ideal(_semigroup(args.semigroup),
+                       _parse_ints(args.ideal_a, "ideal"))
+    print(",".join(str(g) for g in _DUALS[args.method](ideal).min_gens))
     return 0
 
 
@@ -135,8 +133,7 @@ def build_parser() -> _Parser:
     p_dual = sub.add_parser("dual", help="minimal generators of the dual")
     p_dual.add_argument("--semigroup", required=True)
     p_dual.add_argument("--ideal-a", required=True)
-    p_dual.add_argument("--method", default="bruteforce",
-                        choices=("formula", "bruteforce", "symmetric"))
+    p_dual.add_argument("--method", default="bruteforce", choices=_DUALS)
     p_dual.set_defaults(func=cmd_dual)
 
     p_hw = sub.add_parser("hw", help="irreducible triple counts per gap")

@@ -94,17 +94,11 @@ class CofiniteSet:
             bits |= -1 << t if t > 0 else -1
         return bits & ((1 << width) - 1)
 
-    def contains(self, z: int) -> bool:
+    def __contains__(self, z: int) -> bool:
         if z >= self.threshold:
             return True
         d = z - self.lo
         return d >= 0 and (self.bits >> d) & 1 == 1
-
-    __contains__ = contains
-
-    def members_upto(self, bound: int) -> list[int]:
-        """All members z <= bound, ascending."""
-        return bit_positions(self.window(self.lo, bound + 1), self.lo)
 
     def intersect(self, other: "CofiniteSet") -> "CofiniteSet":
         t = max(self.threshold, other.threshold)

@@ -5,7 +5,8 @@ Integers correspond to classes of Z^2 modulo (b, -a) through
 plane; their generators carry a cyclic order read off from the key
 (b*x - a*y) mod (a^2 + b^2), which is representative-independent.
 The dual has an explicit generator formula in the ordered generator
-coordinates (int lists from one checked reader), and a reflection
+coordinates (lattice classes from `ordered_generators`, int lists for
+`dual_formula`, both from one checked reader), and a reflection
 formula z -> F - z holds over any symmetric semigroup. Each function
 reads S off its ideal, and `_plane` alone checks that S is <a, b>.
 """
@@ -45,18 +46,6 @@ def lattice_normalize(s: NumericalSemigroup, g: int,
     return LatticeClass(x, (g - a * x) // b)
 
 
-class OrderedGenerators(NamedTuple):
-    """Generator representatives with x1 < ... < xn < x1 + b.
-
-    The matching chain y1 > ... > yn > y1 - a then holds as well; it is
-    checked wherever coordinates are read, and a violation raises
-    RuntimeError since it would be a bug rather than bad input.
-    """
-
-    pairs: tuple[LatticeClass, ...]
-    psi_values: tuple[int, ...]
-
-
 def _ordered_coordinates(
         ideal: RelativeIdeal) -> tuple[int, int, list[int], list[int]]:
     """a, b and the generator x and y lists by x in [0, b), chain checked."""
@@ -71,10 +60,15 @@ def _ordered_coordinates(
     return a, b, xs, ys
 
 
-def ordered_generators(ideal: RelativeIdeal) -> OrderedGenerators:
-    a, b, xs, ys = _ordered_coordinates(ideal)
-    return OrderedGenerators(tuple(map(LatticeClass, xs, ys)),
-                             tuple(a * x + b * y for x, y in zip(xs, ys)))
+def ordered_generators(ideal: RelativeIdeal) -> tuple[LatticeClass, ...]:
+    """Generator representatives with x1 < ... < xn < x1 + b.
+
+    The matching chain y1 > ... > yn > y1 - a then holds as well; it is
+    checked wherever coordinates are read, and a violation raises
+    RuntimeError since it would be a bug rather than bad input.
+    """
+    _, _, xs, ys = _ordered_coordinates(ideal)
+    return tuple(map(LatticeClass, xs, ys))
 
 
 def _cyclic_key(a: int, b: int, p: LatticeClass) -> int:
@@ -170,14 +164,8 @@ def check_half_mu_bound(a: RelativeIdeal, b: RelativeIdeal) -> HalfMuReport:
     if a.is_principal or b.is_principal:
         raise ValueError("bounds require non-principal ideals")
     profile = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens)
-    mm = a.mu * b.mu
-    return HalfMuReport(
-        tau=profile.total,
-        support=profile.support_size,
-        mu_product=mm,
-        inequality_1=profile.total + profile.support_size >= mm,
-        inequality_2=2 * profile.total >= mm,
-    )
+    tau, support, mm = profile.total, profile.support_size, a.mu * b.mu
+    return HalfMuReport(tau, support, mm, tau + support >= mm, 2 * tau >= mm)
 
 
 def torsion_generator_pairs(ideal: RelativeIdeal) -> int:

@@ -64,6 +64,8 @@ def canonical_ideal_gens(s: NumericalSemigroup, window: int,
     They come depth first, in lexicographic order; `free` holds the next
     entry's candidates: bits above the last one not in the ideal so far.
     """
+    if mu_max < 1:
+        raise ValueError(f"mu_max must be at least 1, got {mu_max}")
     member = s.window(0, window)  # 0 for a window of width <= 0
     out: list[tuple[int, ...]] = []
 

@@ -23,7 +23,8 @@ for one degree, for display. The independent reference uses neither
 the edge ints nor the counter: a bit flood fill of the fibers by
 generator steps, one lane per degree, `fiber_class_count` over a
 window and `torsion_profile` over the scan window. The records are
-`NamedTuple`s and `Batch` a frozen plain class, free of `dataclasses`.
+`NamedTuple`s and `Batch` a frozen plain class, free of `dataclasses`;
+a `TorsionProfile` holds only its window and its degrees.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class TauEngine:
         lo, hi = ga[0] + gb[0], self.f + ga[-1] + gb[-1]
         by_z = {z: count - 1 for z, count in
                 enumerate(self.component_counts(ga, gb), lo) if count > 1}
-        return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
+        return TorsionProfile((lo, hi), by_z)
 
 
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
@@ -232,12 +233,19 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
 
 
 class TorsionProfile(NamedTuple):
-    """Torsion numbers of a pair of ideals, indexed by degree."""
+    """Positive torsion numbers of a pair of ideals by degree in `window`;
+    the total and the support size are read off them."""
 
     window: tuple[int, int]
     tau_by_z: dict[int, int]
-    total: int = 0
-    support_size: int = 0
+
+    @property
+    def total(self) -> int:
+        return sum(self.tau_by_z.values())
+
+    @property
+    def support_size(self) -> int:
+        return len(self.tau_by_z)
 
     def __hash__(self) -> int:  # the dict is compared, not hashed
         return hash((self.window, self.total, self.support_size))
@@ -264,7 +272,7 @@ def torsion_profile(a: RelativeIdeal, b: RelativeIdeal) -> TorsionProfile:
     lo, hi = scan_window(a, b)
     by_z = {z: count - 1 for z, count in
             enumerate(fiber_class_count(a, b, lo, hi), lo) if count > 1}
-    return TorsionProfile((lo, hi), by_z, sum(by_z.values()), len(by_z))
+    return TorsionProfile((lo, hi), by_z)
 
 
 _LANE_BITS = 1 << 15  # bits of fill lanes per int: 4 KB stays in cache

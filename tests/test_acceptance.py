@@ -87,7 +87,7 @@ def test_criterion_4_boundary_cycle():
     cycle_ok = k >= 0 and got[k:] + got[:k] == expected
     max_ok = {(p.x, p.y) for p in bc.maximal_classes} == {(0, 5), (2, 3), (5, 1)}
     og = ordered_generators(a)
-    og_ok = [(p.x, p.y) for p in og.pairs] == [(0, 3), (2, 1), (5, 0)]
+    og_ok = [(p.x, p.y) for p in og] == [(0, 3), (2, 1), (5, 0)]
     report("4", cycle_ok and max_ok and og_ok,
            "12-class cycle, maximal corners, ordered generators")
 

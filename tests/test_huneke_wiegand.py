@@ -25,7 +25,7 @@ def semigroup_and_step(draw):
     """A semigroup and a step that is a gap, a member or past F."""
     s = draw(wide_semigroups)
     f = s.frobenius
-    members = s.members_upto(f)[1:]
+    members = list(s.below[1:])
     steps = [st.sampled_from(s.gaps()), st.integers(f + 1, 2 * f + 5)]
     if members:
         steps.append(st.sampled_from(members))
@@ -40,7 +40,7 @@ class TestPairsSet:
 
     def test_step_above_frobenius(self):
         s = make_semigroup([5, 7])
-        members = CofiniteSet(s.frobenius + 1, s.members_upto(s.frobenius))
+        members = CofiniteSet(s.frobenius + 1, s.below)
         for n in (24, 25, 100):
             assert irreducible_triples(s, n).pairs == members
 
@@ -55,9 +55,9 @@ class TestPairsSet:
         report = irreducible_triples(s, n)
         pairs, triples = report.pairs, report.triples
         for x in range(-2 * n - 3, top):
-            in_pair = s.contains(x) and s.contains(x + n)
+            in_pair = x in s and x + n in s
             assert (x in pairs) == in_pair, x
-            assert (x in triples) == (in_pair and s.contains(x + 2 * n)), x
+            assert (x in triples) == (in_pair and x + 2 * n in s), x
 
 
 class TestIrreducibleTriples:

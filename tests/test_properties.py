@@ -51,7 +51,12 @@ def test_dual_routes_and_biduality(a):
 @settings(max_examples=100, deadline=None)
 def test_ordered_generators_and_boundary(a):
     og = ordered_generators(a)
-    assert sorted(og.psi_values) == list(a.min_gens)
+    p, q = a.semigroup.generators
+    assert sorted(p * c.x + q * c.y for c in og) == list(a.min_gens)
+    xs, ys = [c.x for c in og] + [og[0].x + q], [c.y for c in og]
+    ys.append(og[0].y - p)  # the chain closes on the first class, shifted
+    assert all(u < v for u, v in zip(xs, xs[1:]))
+    assert all(u > v for u, v in zip(ys, ys[1:]))
     bc = boundary_cycle(a)
     assert len(bc.cycle) == sum(a.semigroup.generators)
 

@@ -56,9 +56,15 @@ class TestEnumeration:
         s = make_semigroup([3, 5])
         got = set(canonical_ideal_gens(s, 8, 2))
         expected = {(0,)} | {
-            (0, i) for i in range(1, 8) if not s.contains(i)
+            (0, i) for i in range(1, 8) if i not in s
         }
         assert got == expected
+
+    @pytest.mark.parametrize("mu_max", [0, -1])
+    def test_canonical_ideals_refuse_no_cap(self, mu_max):
+        # no tuple has fewer than one entry, so a cap below 1 went unread
+        with pytest.raises(ValueError, match="mu_max must be at least 1"):
+            canonical_ideal_gens(make_semigroup([5, 7]), 12, mu_max)
 
     @pytest.mark.parametrize("gens", [(3, 5), (4, 7), (5, 6, 7, 8)])
     @pytest.mark.parametrize("mu_max", [1, 2, 3, 4])
@@ -71,7 +77,7 @@ class TestEnumeration:
             expected = sorted(
                 (0,) + c for k in range(mu_max)
                 for c in itertools.combinations(range(1, window), k)
-                if not any(s.contains(y - x) for x, y in
+                if not any(y - x in s for x, y in
                            itertools.combinations((0,) + c, 2)))
             assert canonical_ideal_gens(s, window, mu_max) == expected
 

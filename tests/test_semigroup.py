@@ -24,7 +24,7 @@ class TestMakeSemigroup:
         s = make_semigroup([1])
         assert s.frobenius == -1
         assert s.gaps() == []
-        assert all(s.contains(z) for z in range(50))
+        assert all(z in s for z in range(50))
 
     def test_456(self):
         s = make_semigroup([4, 5, 6])
@@ -80,7 +80,7 @@ class TestMakeSemigroup:
             g for g in set(gens)
             if not any(0 < m < g and g - m in members for m in members)))
         assert s.multiplicity == min(members - {0})
-        assert all(s.contains(z) == (z in members) for z in range(-3, bound + 1))
+        assert all((z in s) == (z in members) for z in range(-3, bound + 1))
         assert s == CofiniteSet(frob + 1, members)
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=6).filter(
@@ -101,10 +101,9 @@ class TestMakeSemigroup:
 
 class TestContains:
     def test_examples(self):
-        assert make_semigroup([5, 11]).contains(22)
-        assert not make_semigroup([5, 7]).contains(23)
-        assert not make_semigroup([5, 7]).contains(-1)
         assert 22 in make_semigroup([5, 11])
+        assert 23 not in make_semigroup([5, 7])
+        assert -1 not in make_semigroup([5, 7])
 
     @pytest.mark.parametrize("gens", [[5, 7], [4, 5, 6], [3, 7, 8], [6, 10, 15], [2, 9]])
     def test_agrees_with_knapsack(self, gens):
@@ -112,7 +111,7 @@ class TestContains:
         bound = 2 * s.frobenius + 2
         members = knapsack_members(gens, bound)
         for z in range(bound + 1):
-            assert s.contains(z) == (z in members)
+            assert (z in s) == (z in members)
 
 
 class TestGaps:
@@ -147,7 +146,7 @@ class TestAperySet:
         assert len(ap) == n
         assert {x % n for x in ap} == set(range(n))
         # least member of every residue class: subtracting n exits
-        assert all(not s.contains(x - n) for x in ap)
+        assert all(x - n not in s for x in ap)
 
     @given(st.lists(st.integers(2, 9), min_size=1, max_size=3),
            st.lists(st.integers(-6, 12), min_size=1, max_size=4),
@@ -204,6 +203,6 @@ class TestSymmetry:
     @settings(max_examples=150, deadline=None)
     def test_matches_definition(self, s):
         f = s.frobenius
-        expected = all(s.contains(z) != s.contains(f - z)
+        expected = all((z in s) != (f - z in s)
                        for z in range(-1, f + 2))
         assert s.is_symmetric() == expected

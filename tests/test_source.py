@@ -2,9 +2,11 @@
 
 import ast
 import json
+import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,53 @@ def test_no_semigroup_beside_an_ideal():
             if any(i != j for i in semigroups for j in ideals):
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert not found, found
+
+
+def test_no_method_aliases():
+    # a class binds each method under one name: a second one restates it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {node.name for node in cls.body if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            found += [f"{path.name}:{node.lineno} {cls.name}"
+                      for node in cls.body
+                      if isinstance(node, (ast.Assign, ast.AnnAssign))
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in methods]
+    assert not found, found
+
+
+def test_falsified_property_fails_cleanly(tmp_path):
+    # the warning filter must not turn an import warning raised while
+    # hypothesis reports a failure into an INTERNALERROR (exit 3) that
+    # stops the run before the tests after it
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    (tmp_path / "pyproject.toml").write_text(pyproject.read_text())
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_falsified(x):
+            assert x < 0
+
+
+        def test_after():
+            pass
+        """))
+    # of the installed plugins only hypothesis's is loaded: the others
+    # take longer to import than the run itself
+    env = {**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                           "no:cacheprovider", "-p", "_hypothesis_pytestplugin",
+                           "test_probe.py"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout
 
 
 def test_one_version():

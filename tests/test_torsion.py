@@ -169,11 +169,19 @@ class TestTorsionProfile:
             assert fiber_class_count(a, b, z, z) in ([0], [1]), z
 
     def test_equality_compares_degrees(self):
-        p = TorsionProfile((0, 5), {1: 1}, 1, 1)
-        q = TorsionProfile((0, 5), {2: 1}, 1, 1)
+        p = TorsionProfile((0, 5), {1: 1})
+        q = TorsionProfile((0, 5), {2: 1})
         assert p != q
-        assert p == TorsionProfile((0, 5), {1: 1}, 1, 1)
+        assert p == TorsionProfile((0, 5), {1: 1})
         assert hash(p) == hash(q)
+
+    def test_totals_read_off_degrees(self):
+        # a profile stores its degrees only, so no total can disagree
+        p = TorsionProfile((0, 5), {3: 1})
+        assert (p.total, p.support_size) == (1, 1)
+        assert TorsionProfile._fields == ("window", "tau_by_z")
+        q = TorsionProfile((0, 9), {2: 3, 7: 1})
+        assert (q.total, q.support_size) == (4, 2)
 
     def test_independent_of_engine(self, monkeypatch):
         # the reference route must not lean on the engine's counter
@@ -418,7 +426,7 @@ class TestSplits:
             s = make_semigroup(semi)
             window = s.frobenius + 2
             gens_list = [(0, i) for i in range(1, window)
-                         if not s.contains(i)] + [(0,)]
+                         if i not in s] + [(0,)]
             for ga in gens_list:
                 for gb in gens_list:
                     ia, ib = make_ideal(s, ga), make_ideal(s, gb)
