@@ -2,9 +2,8 @@
 semigroup tensor products."""
 
 from .cofinite import CofiniteSet
-from .hypersurface import (BoundaryCycle, HalfMuReport, LatticeClass,
-                           boundary_cycle, check_half_mu_bound, dual_formula,
-                           dual_symmetric, lattice_normalize,
+from .hypersurface import (BoundaryCycle, LatticeClass, boundary_cycle,
+                           dual_formula, dual_symmetric, lattice_normalize,
                            ordered_generators, torsion_generator_pairs)
 from .huneke_wiegand import (HWReport, RouteDisagreementError, TripleReport,
                              hw_check_semigroup, irreducible_triples,
@@ -31,7 +30,6 @@ __all__ = [
     "TorsionProfile",
     "LatticeClass",
     "BoundaryCycle",
-    "HalfMuReport",
     "TripleReport",
     "HWReport",
     "SearchSpec",
@@ -60,7 +58,6 @@ __all__ = [
     "boundary_cycle",
     "dual_formula",
     "dual_symmetric",
-    "check_half_mu_bound",
     "torsion_generator_pairs",
     "irreducible_triples",
     "torsion_length_2gen",

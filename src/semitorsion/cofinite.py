@@ -2,7 +2,7 @@
 
 The head is one Python int read at an offset: bit i stands for lo + i.
 Bulk operations are word operations on aligned windows of those ints
-(shift-and-OR sums, `&`, `|`, `& ~`), after the bit-parallel semigroup
+(shift-and-OR sums, `&`, `& ~`), after the bit-parallel semigroup
 algorithms of Fromentin and Hivert (arXiv:1305.3831). A numerical
 semigroup is one of these sets (`semigroup.NumericalSemigroup`), so
 ideals and the semigroup share one membership representation.
@@ -11,6 +11,7 @@ ideals and the semigroup share one membership representation.
 from __future__ import annotations
 
 from itertools import compress
+from operator import index
 from typing import Iterable
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -52,8 +53,8 @@ class CofiniteSet:
     bits: int
 
     def __init__(self, threshold: int, below: Iterable[int] = ()):
-        t = int(threshold)
-        head = {int(x) for x in below if x < t}
+        t = index(threshold)
+        head = {x for x in map(index, below) if x < t}
         lo = min(head, default=t)
         self._normalize(t, lo, sum(1 << (x - lo) for x in head))
 
@@ -106,12 +107,6 @@ class CofiniteSet:
         return CofiniteSet.from_bits(
             t, lo, self.window(lo, t) & other.window(lo, t))
 
-    def union(self, other: "CofiniteSet") -> "CofiniteSet":
-        t = min(self.threshold, other.threshold)
-        lo = min(self.lo, other.lo)
-        return CofiniteSet.from_bits(
-            t, lo, self.window(lo, t) | other.window(lo, t))
-
     def shift(self, c: int) -> "CofiniteSet":
         return CofiniteSet.from_bits(self.threshold + c, self.lo + c, self.bits)
 
@@ -137,9 +132,6 @@ class CofiniteSet:
         t = max(self.threshold, other.threshold)
         lo = self.lo
         return bit_positions(self.window(lo, t) & ~other.window(lo, t), lo)
-
-    def issubset(self, other: "CofiniteSet") -> bool:
-        return not self.difference(other)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -17,13 +17,14 @@ x >= min P + F + 1, hence T minus (P + P) lies below w. Only the
 members of G below F + 1 matter there: a sum g + q < w with g > F has
 g + q - min P > F in P, so it is also min P + (g + q - min P), and
 then min P <= F is in G. Whether x is in G reads P only below x.
+The report keeps the count of T minus (P + P) and its least member;
+no set is built.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cofinite import CofiniteSet, bit_positions
 from .ideals import ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup
 
@@ -32,31 +33,12 @@ class RouteDisagreementError(RuntimeError):
     """The direct triple scan and the dual-quotient route disagreed."""
 
 
-class TripleReport:
-    """P, T and the irreducible starts T minus (P + P) as bits over
-    [0, 2F + 2), with the count and least start (None when there is
-    none); the sets and the tuple are built from the bits when read."""
+class TripleReport(NamedTuple):
+    """The count of irreducible starts and the least one (None when
+    there is none)."""
 
-    __slots__ = ("step", "count", "least", "_threshold", "_p", "_tri", "_irr")
-
-    def __init__(self, step: int, threshold: int, p: int, tri: int,
-                 irr: int):
-        self.step, self._threshold = step, threshold
-        self._p, self._tri, self._irr = p, tri, irr
-        self.count = irr.bit_count()
-        self.least = (irr & -irr).bit_length() - 1 if irr else None
-
-    @property
-    def pairs(self) -> CofiniteSet:
-        return CofiniteSet.from_bits(self._threshold, 0, self._p)
-
-    @property
-    def triples(self) -> CofiniteSet:
-        return CofiniteSet.from_bits(self._threshold, 0, self._tri)
-
-    @property
-    def irreducible(self) -> tuple[int, ...]:
-        return tuple(bit_positions(self._irr))
+    count: int
+    least: int | None
 
 
 def irreducible_triples(s: NumericalSemigroup, n: int) -> TripleReport:
@@ -81,7 +63,9 @@ def irreducible_triples(s: NumericalSemigroup, n: int) -> TripleReport:
         low = gens & -gens
         k |= p << (low.bit_length() - 1)
         gens ^= low
-    return TripleReport(n, s.frobenius + 1, p, tri, tri & ~k)
+    irr = tri & ~k
+    return TripleReport(irr.bit_count(),
+                        (irr & -irr).bit_length() - 1 if irr else None)
 
 
 def torsion_length_2gen(s: NumericalSemigroup, n: int) -> int:

@@ -9,6 +9,7 @@ coordinates (lattice classes from `ordered_generators`, int lists for
 `dual_formula`, both from one checked reader), and a reflection
 formula z -> F - z holds over any symmetric semigroup. Each function
 reads S off its ideal, and `_plane` alone checks that S is <a, b>.
+The half-mu bounds are checked by the `half-mu-bound` campaign.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from operator import gt
 from typing import NamedTuple
 
 from .cofinite import CofiniteSet, reverse_bits
-from .ideals import (RelativeIdeal, _check_over, apery_set, ideal_sum,
-                     make_ideal)
+from .ideals import RelativeIdeal, apery_set, ideal_sum, make_ideal
 from .semigroup import NumericalSemigroup
-from .torsion import TauEngine
 
 
 class LatticeClass(NamedTuple):
@@ -38,11 +37,10 @@ def _plane(s: NumericalSemigroup) -> tuple[int, int, int]:
     return a, b, pow(a, -1, b)
 
 
-def lattice_normalize(s: NumericalSemigroup, g: int,
-                      x_lo: int = 0) -> LatticeClass:
-    """The representative (x, y) of the class of value g with x in [x_lo, x_lo+b)."""
+def lattice_normalize(s: NumericalSemigroup, g: int) -> LatticeClass:
+    """The representative (x, y) of the class of value g with x in [0, b)."""
     a, b, a_inverse = _plane(s)
-    x = x_lo + (a_inverse * g - x_lo) % b
+    x = a_inverse * g % b
     return LatticeClass(x, (g - a * x) // b)
 
 
@@ -142,30 +140,6 @@ def dual_symmetric(ideal: RelativeIdeal) -> RelativeIdeal:
     bits = reverse_bits(own.bits ^ ((1 << width) - 1), width)
     cset = CofiniteSet.from_bits(f + 1 - own.lo, f + 1 - own.threshold, bits)
     return RelativeIdeal(s, cset)
-
-
-class HalfMuReport(NamedTuple):
-    tau: int
-    support: int
-    mu_product: int
-    inequality_1: bool  # tau + support >= mu(A) * mu(B)
-    inequality_2: bool  # 2 * tau >= mu(A) * mu(B)
-
-
-def check_half_mu_bound(a: RelativeIdeal, b: RelativeIdeal) -> HalfMuReport:
-    """Evaluate both generator-count lower bounds on the torsion total.
-
-    Only defined for non-principal ideals; for principal ones the
-    torsion total is zero and the bounds do not apply. Both are reported
-    over any S but are theorems only over two-generated ones; elsewhere
-    a false inequality is a finding, not an error.
-    """
-    _check_over(a.semigroup, b)
-    if a.is_principal or b.is_principal:
-        raise ValueError("bounds require non-principal ideals")
-    profile = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens)
-    tau, support, mm = profile.total, profile.support_size, a.mu * b.mu
-    return HalfMuReport(tau, support, mm, tau + support >= mm, 2 * tau >= mm)
 
 
 def torsion_generator_pairs(ideal: RelativeIdeal) -> int:

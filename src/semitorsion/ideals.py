@@ -9,7 +9,8 @@ built from one membership window of S (a `CofiniteSet`); shifts move it.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from operator import index
+from typing import Iterable
 
 from .cofinite import CofiniteSet, bit_positions
 from .semigroup import NumericalSemigroup, minimal_generators_of_set
@@ -45,10 +46,6 @@ class RelativeIdeal:
     def mu(self) -> int:
         return len(self.min_gens)
 
-    @property
-    def is_principal(self) -> bool:
-        return len(self.min_gens) == 1
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RelativeIdeal)
@@ -73,7 +70,7 @@ def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdea
     of the translates g + S. If no generator lies in an earlier one's
     translate, they are the minimal generators and are kept.
     """
-    gens = sorted(set(map(int, generators)))
+    gens = sorted(set(map(index, generators)))
     if not gens:
         raise ValueError("generator list must be non-empty")
     g0 = gens[0]
@@ -134,7 +131,7 @@ def ideal_shift(a: RelativeIdeal, c: int) -> RelativeIdeal:
     return RelativeIdeal(a.semigroup, a.set.shift(c))
 
 
-def apery_set(a: Union[RelativeIdeal, NumericalSemigroup], n: int) -> set[int]:
+def apery_set(a: RelativeIdeal, n: int) -> set[int]:
     """{x in a : x - n not in a} for a member n > 0 of the semigroup.
 
     Has exactly n elements: membership along each residue class mod n is
@@ -142,7 +139,7 @@ def apery_set(a: Union[RelativeIdeal, NumericalSemigroup], n: int) -> set[int]:
     Every x >= threshold + n has x - n in the tail, so over the window
     [lo, threshold + n) the set is own & ~(own << n).
     """
-    s, own = (a.semigroup, a.set) if isinstance(a, RelativeIdeal) else (a, a)
+    s, own = a.semigroup, a.set
     if n <= 0 or n not in s:
         raise ValueError(f"{n} is not a positive member of {s!r}")
     bits = own.window(own.lo, own.threshold + n)

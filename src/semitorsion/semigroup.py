@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import index
 from typing import Iterable
 
 from .cofinite import CofiniteSet, bit_positions, reverse_bits
@@ -33,7 +34,7 @@ class NumericalSemigroup(CofiniteSet):
     multiplicity: int
 
     def __init__(self, generators: Iterable[int]):
-        gens = sorted(set(int(g) for g in generators))
+        gens = sorted(set(map(index, generators)))
         if not gens:
             raise ValueError("generator list must be non-empty")
         if gens[0] < 1:
@@ -129,4 +130,4 @@ def make_semigroup(generators: Iterable[int]) -> NumericalSemigroup:
     The stored generating set is reduced to the minimal one. Repeated
     calls with the same generators return a shared instance.
     """
-    return _cached(tuple(sorted(set(int(g) for g in generators))))
+    return _cached(tuple(sorted(set(map(index, generators)))))

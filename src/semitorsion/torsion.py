@@ -379,7 +379,7 @@ def torsion_bound_with_correction(a: RelativeIdeal, b: RelativeIdeal,
     _check_over(a.semigroup, b)
     total = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens).total
     sum_set = ideal_sum(a, b).set
-    if not sum_set.issubset(c):
+    if sum_set.difference(c):
         raise ValueError("correction set does not contain the sum ideal")
     return total - len(c.difference(sum_set))
 

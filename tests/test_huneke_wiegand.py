@@ -32,52 +32,34 @@ def semigroup_and_step(draw):
     return s, draw(st.one_of(steps))
 
 
-class TestPairsSet:
-    def test_57_step_one(self):
-        # consecutive runs of <5,7> are {14,15}, {19..22}, {24,->}
-        assert irreducible_triples(make_semigroup([5, 7]), 1).pairs == (
-            CofiniteSet(24, [14, 19, 20, 21]))
-
-    def test_step_above_frobenius(self):
-        s = make_semigroup([5, 7])
-        members = CofiniteSet(s.frobenius + 1, s.below)
-        for n in (24, 25, 100):
-            assert irreducible_triples(s, n).pairs == members
-
-    def test_23(self):
-        assert irreducible_triples(make_semigroup([2, 3]), 1).pairs == (
-            CofiniteSet(2))
-
-    @given(small_semigroups, st.integers(1, 60))
-    @settings(max_examples=150, deadline=None)
-    def test_progressions_vs_scan(self, s, n):
-        top = s.frobenius + 2 * n + 3
-        report = irreducible_triples(s, n)
-        pairs, triples = report.pairs, report.triples
-        for x in range(-2 * n - 3, top):
-            in_pair = x in s and x + n in s
-            assert (x in pairs) == in_pair, x
-            assert (x in triples) == (in_pair and x + 2 * n in s), x
+def plain_sets(s, n):
+    """P and T of step n read from membership in S, each holding every
+    x > F; the brute force the scan is checked against."""
+    f = s.frobenius
+    p = [x for x in range(f + 1) if x in s and x + n in s]
+    return (CofiniteSet(f + 1, p),
+            CofiniteSet(f + 1, [x for x in p if x + 2 * n in s]))
 
 
 class TestIrreducibleTriples:
     def test_57_step_one(self):
-        report = irreducible_triples(make_semigroup([5, 7]), 1)
-        assert report.triples == CofiniteSet(24, [19, 20])
-        assert report.pairs.sumset(report.pairs) == CofiniteSet(
-            38, [28, 33, 34, 35])
-        assert report.irreducible == (19, 20, 24, 25, 26, 27, 29, 30, 31, 32,
-                                      36, 37)
-        assert report.count == 12
+        p, t = plain_sets(make_semigroup([5, 7]), 1)
+        assert t == CofiniteSet(24, [19, 20])
+        assert p.sumset(p) == CofiniteSet(38, [28, 33, 34, 35])
+        assert t.difference(p.sumset(p)) == [19, 20, 24, 25, 26, 27, 29, 30,
+                                             31, 32, 36, 37]
+        assert irreducible_triples(make_semigroup([5, 7]), 1) == (12, 19)
 
     def test_57_step_frobenius(self):
-        report = irreducible_triples(make_semigroup([5, 7]), 23)
-        assert 5 in report.irreducible and 7 in report.irreducible
-        assert report.count >= 1
+        s = make_semigroup([5, 7])
+        p, t = plain_sets(s, 23)
+        irreducible = t.difference(p.sumset(p))
+        assert 5 in irreducible and 7 in irreducible
+        assert irreducible_triples(s, 23) == (len(irreducible), 5)
 
     def test_23_step_one(self):
         report = irreducible_triples(make_semigroup([2, 3]), 1)
-        assert report.irreducible == (2, 3) and report.count == 2
+        assert report.count == 2 and report.least == 2
 
     @pytest.mark.parametrize("a,b", [(2, 3), (5, 7)])
     def test_rejects_bad_step(self, a, b):
@@ -92,27 +74,24 @@ class TestIrreducibleTriples:
         # the generator route against the definition T \ (P + P), with
         # P and T read from membership in S
         s, n = case
-        f = s.frobenius
-        p = CofiniteSet(f + 1, [x for x in range(f + 1)
-                                if x in s and x + n in s])
-        t = CofiniteSet(f + 1, [x for x in range(f + 1)
-                                if x in s and x + n in s and x + 2 * n in s])
-        expected = tuple(t.difference(p.sumset(p)))
+        p, t = plain_sets(s, n)
+        expected = t.difference(p.sumset(p))
         report = irreducible_triples(s, n)
-        assert report.pairs == p and report.triples == t
-        assert report.irreducible == expected
         assert report.count == len(expected)
         assert report.least == (expected[0] if expected else None)
         assert len(minimal_generators_of_set(s, p)) <= s.multiplicity
 
     def test_window_bound(self):
+        # T \ (P + P) lies in [min T, min P + F + 1), inside the scan's
+        # window [0, 2F + 2)
         for gens, n in [([5, 7], 1), ([5, 7], 4), ([3, 10], 2), ([4, 9], 5)]:
             s = make_semigroup(gens)
-            report = irreducible_triples(s, n)
-            if report.irreducible:
-                top = report.pairs.lo + s.frobenius + 1
-                assert report.irreducible[0] >= report.triples.lo
-                assert report.irreducible[-1] < top
+            p, t = plain_sets(s, n)
+            irreducible = t.difference(p.sumset(p))
+            assert irreducible[0] >= t.lo
+            assert irreducible[-1] < p.lo + s.frobenius + 1
+            assert irreducible_triples(s, n) == (len(irreducible),
+                                                 irreducible[0])
 
 
 @pytest.mark.parametrize("route", [
@@ -157,8 +136,7 @@ class TestTorsionLength:
 
         def off_by_one(s, n):
             report = true_scan(s, n)
-            report.count += 1
-            return report
+            return report._replace(count=report.count + 1)
 
         monkeypatch.setattr(huneke_wiegand, "irreducible_triples", off_by_one)
         with pytest.raises(RouteDisagreementError,

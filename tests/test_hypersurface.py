@@ -3,8 +3,7 @@ import math
 import pytest
 
 import semitorsion.hypersurface as hypersurface
-from semitorsion import (LatticeClass, SemigroupMismatchError,
-                         boundary_cycle, check_half_mu_bound, dual_formula,
+from semitorsion import (LatticeClass, boundary_cycle, dual_formula,
                          dual_symmetric, ideal_dual, make_ideal,
                          make_semigroup, lattice_normalize,
                          ordered_generators, torsion_generator_pairs,
@@ -51,15 +50,9 @@ class TestConstruction:
                 lattice_normalize(make_semigroup(gens), 0)
         assert make_semigroup([7, 5]) is s57 and s57.frobenius == 23
 
-    def test_rejects_foreign_ideal(self, s57):
-        # one ideal carries its own semigroup, so only a pair can mismatch;
-        # an ideal over a semigroup with no plane is refused by name
-        foreign = make_ideal(make_semigroup([2, 3]), [0, 1])
-        native = make_ideal(s57, [0, 3])
-        for call in (lambda: check_half_mu_bound(native, foreign),
-                     lambda: check_half_mu_bound(foreign, native)):
-            with pytest.raises(SemigroupMismatchError):
-                call()
+    def test_rejects_foreign_ideal(self):
+        # each function takes one ideal and reads S off it, so no pair can
+        # mismatch; an ideal over a semigroup with no plane is refused
         s345 = make_semigroup([3, 4, 5])
         off_plane = make_ideal(s345, [0, 1])
         for call in (lambda: lattice_normalize(s345, 7),
@@ -79,11 +72,19 @@ class TestLatticeNormalize:
         assert lattice_normalize(s57, 0) == LatticeClass(0, 0)
 
     @pytest.mark.parametrize("g", [-13, 0, 1, 17, 40, 173])
-    @pytest.mark.parametrize("x_lo", [-5, 0, 2, 9])
-    def test_window_and_value(self, s57, g, x_lo):
-        p = lattice_normalize(s57, g, x_lo)
-        assert x_lo <= p.x < x_lo + 7
+    @pytest.mark.parametrize("lo", [-5, 0, 2, 9])
+    def test_window_and_value(self, s57, g, lo):
+        # each window [lo, lo + 7) of x holds one point of the class of g,
+        # found by search; it lies a multiple of (7, -5) from the point
+        # lattice_normalize returns in [0, 7), and is that point exactly
+        # when the window holds it
+        p = lattice_normalize(s57, g)
+        assert 0 <= p.x < 7
         assert 5 * p.x + 7 * p.y == g
+        window = [x for x in range(lo, lo + 7) if (g - 5 * x) % 7 == 0]
+        assert len(window) == 1
+        k, rest = divmod(window[0] - p.x, 7)
+        assert rest == 0 and (k == 0) == (lo <= p.x < lo + 7)
 
 
 class TestOrderedGenerators:
@@ -212,39 +213,29 @@ class TestDualSymmetric:
 
 
 class TestHalfMuBound:
+    # tau + support >= mu(A) mu(B) and 2 tau >= mu(A) mu(B), on the
+    # flood-fill profile
     def test_tight_case(self):
         a = make_ideal(make_semigroup([2, 3]), [0, 1])
-        report = check_half_mu_bound(a, a)
-        assert (report.tau, report.support, report.mu_product) == (2, 2, 4)
-        assert report.inequality_1 and report.inequality_2
+        profile = torsion_profile(a, a)
+        assert (profile.total, profile.support_size, a.mu * a.mu) == (2, 2, 4)
 
     def test_triple_pair(self):
         s = make_semigroup([5, 11])
         a = make_ideal(s, [20, 21, 22])
         b = make_ideal(s, [0, 23, 24])
-        report = check_half_mu_bound(a, b)
-        assert report.mu_product == 9
-        assert report.tau >= 5  # ceil(9 / 2)
         profile = torsion_profile(a, b)
+        assert a.mu * b.mu == 9
+        assert profile.total >= 5  # ceil(9 / 2)
         assert profile.tau_by_z[44] == 2 and profile.tau_by_z[45] == 2
-        assert report.inequality_1 and report.inequality_2
+        assert profile.total + profile.support_size >= 9
 
     def test_reports_over_any_semigroup(self):
         # off <a, b> the inequalities are not theorems: over <3,4,5>,
         # A = (0, 1) has tau = support = 1 against mu product 4
-        s = make_semigroup([3, 4, 5])
-        a = make_ideal(s, [0, 1])
-        report = check_half_mu_bound(a, a)
+        a = make_ideal(make_semigroup([3, 4, 5]), [0, 1])
         profile = torsion_profile(a, a)
-        assert (report.tau, report.support, report.mu_product) == (
-            profile.total, profile.support_size, 4) == (1, 1, 4)
-        assert not (report.inequality_1 or report.inequality_2)
-
-    def test_principal_rejected(self):
-        s = make_semigroup([5, 7])
-        a = make_ideal(s, [0, 1])
-        with pytest.raises(ValueError):
-            check_half_mu_bound(a, make_ideal(s, [4]))
+        assert (profile.total, profile.support_size, a.mu * a.mu) == (1, 1, 4)
 
 
 class TestTorsionGeneratorPairs:

@@ -8,8 +8,8 @@ import pickle
 
 import pytest
 
-from semitorsion import (SearchSpec, TauEngine, boundary_cycle,
-                         check_half_mu_bound, fiber_graph, hw_check_semigroup,
+from semitorsion import (SearchSpec, TauEngine, boundary_cycle, fiber_graph,
+                         hw_check_semigroup, irreducible_triples,
                          lattice_normalize, make_ideal, make_semigroup,
                          run_search, torsion_profile)
 from semitorsion.cli import main
@@ -22,14 +22,12 @@ FROZEN = {
     "LatticeClass": (lambda: lattice_normalize(S57, 17), ("x", "y")),
     "BoundaryCycle": (lambda: boundary_cycle(A),
                       ("cycle", "keys", "maximal_flags")),
-    "HalfMuReport": (lambda: check_half_mu_bound(A, B),
-                     ("tau", "support", "mu_product", "inequality_1",
-                      "inequality_2")),
     "FiberGraph": (lambda: fiber_graph(A, B, 8),
                    ("z", "left_vertices", "right_vertices", "edges",
                     "component_count")),
     "TorsionProfile": (lambda: torsion_profile(A, B),
                        ("window", "tau_by_z")),
+    "TripleReport": (lambda: irreducible_triples(S57, 1), ("count", "least")),
     "HWReport": (lambda: hw_check_semigroup(S57),
                  ("semigroup", "per_gap", "min_irreducible",
                   "all_positive")),

@@ -135,14 +135,15 @@ class TestAperySet:
         assert apery_set(a, 12) == {17, 21, 22, 24, 25, 26, 27, 28, 30, 31, 32, 35}
 
     def test_of_semigroup(self):
-        assert apery_set(make_semigroup([2, 3]), 2) == {0, 3}
-        assert apery_set(make_semigroup([5, 7]), 5) == {0, 7, 14, 21, 28}
+        assert apery_set(make_ideal(make_semigroup([2, 3]), [0]), 2) == {0, 3}
+        assert apery_set(make_ideal(make_semigroup([5, 7]), [0]), 5) == {
+            0, 7, 14, 21, 28}
 
     @pytest.mark.parametrize("gens,n", [([5, 7], 5), ([5, 7], 12), ([4, 5, 6], 4),
                                         ([4, 5, 6], 10), ([3, 7, 8], 7)])
     def test_size_and_residues(self, gens, n):
         s = make_semigroup(gens)
-        ap = apery_set(s, n)
+        ap = apery_set(make_ideal(s, [0]), n)
         assert len(ap) == n
         assert {x % n for x in ap} == set(range(n))
         # least member of every residue class: subtracting n exits
@@ -165,13 +166,10 @@ class TestAperySet:
         assert got == expected and len(got) == n
 
     def test_rejects_non_members(self):
-        s = make_semigroup([4, 5, 6])
-        with pytest.raises(ValueError):
-            apery_set(s, 3)
-        with pytest.raises(ValueError):
-            apery_set(s, 0)
-        with pytest.raises(ValueError):
-            apery_set(s, -4)
+        s = make_ideal(make_semigroup([4, 5, 6]), [0])
+        for n in (3, 0, -4):
+            with pytest.raises(ValueError):
+                apery_set(s, n)
 
 
 class TestSymmetry:

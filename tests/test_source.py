@@ -118,6 +118,25 @@ def test_falsified_property_fails_cleanly(tmp_path):
     assert "1 failed, 1 passed" in done.stdout, done.stdout
 
 
+def test_readme_sketch_runs():
+    # README's library sketch runs as written, and each expression in it
+    # equals the literal its comment opens with: `# <literal>; <prose>`
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    lines, scope, checked = block.splitlines(), {}, 0
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+            continue
+        comment = lines[node.end_lineno - 1].partition("#")[2]
+        expected = ast.literal_eval(comment.partition(";")[0].strip())
+        got = eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                   scope)
+        assert got == expected, (node.lineno, got)
+        checked += 1
+    assert checked, block
+
+
 def test_one_version():
     tomllib = pytest.importorskip("tomllib")
     pyproject = SRC.parents[1] / "pyproject.toml"
@@ -141,6 +160,48 @@ def _mentions(node, scope=""):
             if isinstance(name, str):
                 yield scope, name
         yield from _mentions(child, scope)
+
+
+# public name (function, class, or Class.method): why it stays unreached
+UNREACHED_ALLOWED: dict[str, str] = {}
+
+
+def test_public_api_is_reached():
+    # every public function, class, method and property is named in src/
+    # outside its own definition, by the bench harness, or by the paper's
+    # acceptance criteria; anything else is API that only tests reach.
+    # __init__ lists every public name, so it reaches none of them.
+    root = SRC.parents[1]
+    defined, scopes = {}, {}  # qualified name: name; name: where mentioned
+
+    def mention(scope, name):
+        scopes.setdefault(name, set()).add(scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = node.name
+                if isinstance(node, ast.ClassDef):
+                    defined.update(
+                        (f"{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+        if path.name != "__init__.py":
+            for scope, name in _mentions(tree):
+                mention(scope, name)
+    for path in [root / "tests" / "test_acceptance.py",
+                 *sorted((root / "bench").glob("*.py"))]:
+        for _, name in _mentions(ast.parse(path.read_text(), str(path))):
+            mention(path.name, name)
+    unreached = sorted(
+        qual for qual, name in defined.items()
+        if qual not in UNREACHED_ALLOWED
+        and not any(scope != qual and not scope.startswith(f"{qual}.")
+                    for scope in scopes.get(name, ())))
+    assert not unreached, unreached
 
 
 def test_one_fiber_edge_builder():
