@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, parse, output-file or worker error, 2 a
-mathematical violation was found (search modes and the per-gap check).
+mathematical violation was found (search modes and the per-gap check)
+or `tau`'s engine and flood fill disagree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .huneke_wiegand import hw_check_semigroup
 from .ideals import ideal_dual, make_ideal
 from .search import MODES, SearchSpec, run_search
 from .semigroup import make_semigroup
-from .torsion import TauEngine, fiber_graph, graph_to_dot
+from .torsion import TauEngine, fiber_graph, graph_to_dot, torsion_profile
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +66,13 @@ def cmd_tau(args) -> int:
         print(graph_to_dot(fiber_graph(a, b, args.dot)))
         return 0
     profile = TauEngine(s).profile(a.min_gens, b.min_gens)
+    fill = torsion_profile(a, b)  # the independent route
+    if profile.tau_by_z != fill.tau_by_z:
+        print("semitorsion: engine and flood fill disagree: " + "; ".join(
+            f"{name} tau {p.total} support {p.support_size} tau_z {p.tau_by_z}"
+            for name, p in (("engine", profile), ("flood fill", fill))),
+            file=sys.stderr)
+        return 2
     print(f"tau: {profile.total}")
     print(f"support: {profile.support_size}")
     if args.profile:

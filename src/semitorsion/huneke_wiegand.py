@@ -11,7 +11,9 @@ P + P = G + P for the minimal generators G of P: P + S lies in P, so
 p + q = g + (s + q) whenever p = g + s. G has at most multiplicity
 members, so the sum ORs a few shifted copies of P, not one per member.
 
-The scan needs only the window [0, w), w = 2F + 2, read as plain ints.
+The scan reads S as one int with its tail bits set: bit z says whether
+z is in S, for every z >= 0. P and T are ANDs of that int shifted right
+by 0, n and 2n, cut to its first w = 2F + 2 bits, the window [0, w).
 P holds every x > F, so min P <= F + 1 and P + P holds every
 x >= min P + F + 1, hence T minus (P + P) lies below w. Only the
 members of G below F + 1 matter there: a sum g + q < w with g > F has
@@ -23,6 +25,7 @@ no set is built.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .ideals import ideal_dual, make_ideal
@@ -44,18 +47,22 @@ class TripleReport(NamedTuple):
 def irreducible_triples(s: NumericalSemigroup, n: int) -> TripleReport:
     """Triples (x, x+n, x+2n) in S that are not sums of two pairs.
 
-    Over the window [0, 2F + 2) of the module docstring, P and T are
-    ANDs of three windows of S, at 0, n and 2n, so the cost does not
-    grow with n. G = P & ~OR(P << g) over [0, F + 1) for the generators
-    g of S, and G + P ORs P shifted by each bit of G. S = <1> has an
-    empty window.
+    `member` is S as one negative int, its tail bits set, so one read
+    of S serves all three shifts: P = member & (member >> n) cut to the
+    window [0, 2F + 2) of the module docstring, and T = P & (member >>
+    2n). A shift past F gives -1 without allocating, so the cost does
+    not grow with n. G = P & ~OR(P << g) over [0, F + 1) for the
+    generators g of S, and G + P ORs P shifted by each bit of G.
+    S = <1> (F = -1) has member -1 and an empty window.
     """
+    n = index(n)
     if n <= 0:
         raise ValueError(f"step must be positive, got {n}")
-    w = 2 * s.frobenius + 2
-    p = s.window(0, w) & s.window(n, n + w)
-    tri = p & s.window(2 * n, 2 * n + w)
-    gens = head = p & ((1 << (s.frobenius + 1)) - 1)
+    f = s.frobenius
+    member = s.bits | -(1 << (f + 1))
+    p = member & (member >> n) & ((1 << (2 * f + 2)) - 1)
+    tri = p & (member >> 2 * n)
+    gens = head = p & ((1 << (f + 1)) - 1)
     for g in s.generators:
         gens &= ~(head << g)
     k = 0
@@ -75,6 +82,7 @@ def torsion_length_2gen(s: NumericalSemigroup, n: int) -> int:
     computed through the relative-ideal dual algebra; a mismatch means
     a bug, not bad input.
     """
+    n = index(n)
     direct = irreducible_triples(s, n).count
     pair_dual = ideal_dual(make_ideal(s, [0, n])).set
     triple_dual = ideal_dual(make_ideal(s, [0, n, 2 * n])).set

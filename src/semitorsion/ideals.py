@@ -128,7 +128,7 @@ def ideal_dual(a: RelativeIdeal) -> RelativeIdeal:
 
 
 def ideal_shift(a: RelativeIdeal, c: int) -> RelativeIdeal:
-    return RelativeIdeal(a.semigroup, a.set.shift(c))
+    return RelativeIdeal(a.semigroup, a.set.shift(index(c)))
 
 
 def apery_set(a: RelativeIdeal, n: int) -> set[int]:

@@ -32,7 +32,7 @@ import math
 import os
 import random
 from functools import partial
-from operator import add, sub
+from operator import add, index, sub
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -64,6 +64,7 @@ def canonical_ideal_gens(s: NumericalSemigroup, window: int,
     They come depth first, in lexicographic order; `free` holds the next
     entry's candidates: bits above the last one not in the ideal so far.
     """
+    window, mu_max = index(window), index(mu_max)
     if mu_max < 1:
         raise ValueError(f"mu_max must be at least 1, got {mu_max}")
     member = s.window(0, window)  # 0 for a window of width <= 0

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from operator import add, and_, or_
+from operator import add, and_, index, or_
 from struct import iter_unpack
 from typing import NamedTuple
 
@@ -307,6 +307,7 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
     end of it, and the ends are more than F apart.
     """
     _check_over(a.semigroup, b)
+    lo, hi = index(lo), index(hi)
     gens = a.semigroup.generators
     base = a.set.lo + b.set.lo
     cut = a.set.threshold + b.set.threshold + 2 * a.semigroup.frobenius + 3

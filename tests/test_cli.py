@@ -12,7 +12,8 @@ import pytest
 import semitorsion
 import semitorsion.search as search
 import semitorsion.semigroup as semigroup
-from semitorsion import MODES, SearchSpec, coprime_pairs, make_semigroup
+from semitorsion import (MODES, SearchSpec, TauEngine, coprime_pairs,
+                         make_semigroup)
 from semitorsion.cli import build_parser, main
 
 
@@ -133,6 +134,18 @@ class TestTau:
         code, out, _ = run(capsys, "tau", "--semigroup", "4,5,6",
                            "--ideal-a", "4,5", "--ideal-b", "4,6")
         assert code == 0 and "tau: 0" in out
+
+    def test_engine_disagreement_exits_two(self, capsys, monkeypatch):
+        # the flood fill audits the engine: reps that drop the last left
+        # vertex's components lose both of this pair's torsion degrees
+        true_reps = TauEngine._reps
+        monkeypatch.setattr(TauEngine, "_reps", lambda self, ga, rows, keep:
+                            true_reps(self, ga, rows, keep)[:-1])
+        code, out, err = run(capsys, "tau", "--semigroup", "4,5,6",
+                             "--ideal-a", "4,5", "--ideal-b", "4,5")
+        assert code == 2 and out == ""
+        assert "engine tau 0 support 0" in err
+        assert "flood fill tau 2 support 2" in err
 
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "tau", "--semigroup", "5,11",

@@ -5,9 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semitorsion import (CofiniteSet, NumericalSemigroup,
-                         SemigroupMismatchError, dual_formula, dual_symmetric,
+                         SemigroupMismatchError, canonical_ideal_gens,
+                         dual_formula, dual_symmetric, fiber_class_count,
                          ideal_dual, ideal_intersect, ideal_shift, ideal_sum,
-                         make_ideal, make_semigroup, minimal_generators_of_set)
+                         irreducible_triples, make_ideal, make_semigroup,
+                         minimal_generators_of_set, torsion_length_2gen)
 
 from conftest import knapsack_members, naive_dual_members, naive_ideal_members
 
@@ -53,6 +55,35 @@ def test_non_integers_raise(build):
     # truncating 2.5 to 2 would answer for another semigroup
     with pytest.raises(TypeError):
         build()
+
+
+class Index:
+    """An integer type with only `__index__`, as numpy's integers have."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+S57 = make_semigroup([5, 7])
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: irreducible_triples(S57, k(3)),
+    lambda k: torsion_length_2gen(S57, k(3)),
+    lambda k: ideal_shift(make_ideal(S57, [0, 3]), k(-4)),
+    lambda k: fiber_class_count(make_ideal(S57, [0, 3]),
+                                make_ideal(S57, [0, 2]), k(-2), k(30)),
+    lambda k: canonical_ideal_gens(S57, k(12), k(3)),
+], ids=["irreducible_triples", "torsion_length_2gen", "ideal_shift",
+        "fiber_class_count", "canonical_ideal_gens"])
+def test_index_arguments(call):
+    # any integer type answers as int does; a float is refused, not cut
+    assert call(Index) == call(int)
+    with pytest.raises(TypeError):
+        call(float)
 
 
 class TestMakeIdeal:

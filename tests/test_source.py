@@ -246,6 +246,16 @@ def test_triple_scan_names_no_set_algebra():
     assert names and not names & dual_route, names & dual_route
 
 
+def test_triple_scan_reads_no_window():
+    # the scan reads S once, as one int: a window of S per gap would
+    # allocate and mask 2F + 2 bits each time
+    path = SRC / "huneke_wiegand.py"
+    names = {name for scope, name in
+             _mentions(ast.parse(path.read_text(), str(path)))
+             if scope == "irreducible_triples"}
+    assert names and not names & {"window", "below"}, names
+
+
 def test_bench_hooks_bind():
     # bench/spans.py wraps the traced layers by name, and reads the
     # engine's arguments; a refactor that renames, aliases or unbinds
