@@ -3,8 +3,8 @@ semigroup tensor products."""
 
 from .cofinite import CofiniteSet
 from .hypersurface import (BoundaryCycle, LatticeClass, boundary_cycle,
-                           dual_formula, dual_symmetric, lattice_normalize,
-                           ordered_generators, torsion_generator_pairs)
+                           dual_formula, dual_symmetric, ordered_generators,
+                           torsion_generator_pairs)
 from .huneke_wiegand import (HWReport, RouteDisagreementError, TripleReport,
                              hw_check_semigroup, irreducible_triples,
                              torsion_length_2gen)
@@ -53,7 +53,6 @@ __all__ = [
     "torsion_bound_with_correction",
     "graph_to_dot",
     "scan_window",
-    "lattice_normalize",
     "ordered_generators",
     "boundary_cycle",
     "dual_formula",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, parse, output-file or worker error, 2 a
-mathematical violation was found (search modes and the per-gap check)
-or `tau`'s engine and flood fill disagree.
+mathematical violation was found (search modes and the per-gap check),
+`tau`'s engine and flood fill disagree, or `dual`'s routes disagree.
 """
 
 from __future__ import annotations
@@ -81,14 +81,20 @@ def cmd_tau(args) -> int:
     return 0
 
 
-_DUALS = {"formula": dual_formula, "bruteforce": ideal_dual,
-          "symmetric": dual_symmetric}  # --method: the route to the dual
-
-
 def cmd_dual(args) -> int:
-    ideal = make_ideal(_semigroup(args.semigroup),
-                       _parse_ints(args.ideal_a, "ideal"))
-    print(",".join(str(g) for g in _DUALS[args.method](ideal).min_gens))
+    s = _semigroup(args.semigroup)
+    ideal = make_ideal(s, _parse_ints(args.ideal_a, "ideal"))
+    duals = {"scan": ideal_dual(ideal)}  # checked by every route S admits
+    if len(s.generators) == 2:
+        duals["formula"] = dual_formula(ideal)
+    if s.is_symmetric():
+        duals["reflection"] = dual_symmetric(ideal)
+    gens = {name: ",".join(map(str, d.min_gens)) for name, d in duals.items()}
+    if len(set(gens.values())) > 1:
+        print("semitorsion: dual routes disagree: " + "; ".join(
+            f"{name} {text}" for name, text in gens.items()), file=sys.stderr)
+        return 2
+    print(gens["scan"])
     return 0
 
 
@@ -141,7 +147,6 @@ def build_parser() -> _Parser:
     p_dual = sub.add_parser("dual", help="minimal generators of the dual")
     p_dual.add_argument("--semigroup", required=True)
     p_dual.add_argument("--ideal-a", required=True)
-    p_dual.add_argument("--method", default="bruteforce", choices=_DUALS)
     p_dual.set_defaults(func=cmd_dual)
 
     p_hw = sub.add_parser("hw", help="irreducible triple counts per gap")

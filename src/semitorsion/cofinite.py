@@ -96,6 +96,7 @@ class CofiniteSet:
         return bits & ((1 << width) - 1)
 
     def __contains__(self, z: int) -> bool:
+        z = index(z)
         if z >= self.threshold:
             return True
         d = z - self.lo

@@ -5,17 +5,17 @@ Integers correspond to classes of Z^2 modulo (b, -a) through
 plane; their generators carry a cyclic order read off from the key
 (b*x - a*y) mod (a^2 + b^2), which is representative-independent.
 The dual has an explicit generator formula in the ordered generator
-coordinates (lattice classes from `ordered_generators`, int lists for
-`dual_formula`, both from one checked reader), and a reflection
-formula z -> F - z holds over any symmetric semigroup. Each function
-reads S off its ideal, and `_plane` alone checks that S is <a, b>.
+coordinates, and a reflection formula z -> F - z holds over any
+symmetric semigroup. One private reader, `_coordinates`, turns values
+into points for every function here. Each function reads S off its
+ideal, and `_plane` alone checks that S is <a, b>.
 The half-mu bounds are checked by the `half-mu-bound` campaign.
 """
 
 from __future__ import annotations
 
 from operator import gt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cofinite import CofiniteSet, reverse_bits
 from .ideals import RelativeIdeal, apery_set, ideal_sum, make_ideal
@@ -37,21 +37,19 @@ def _plane(s: NumericalSemigroup) -> tuple[int, int, int]:
     return a, b, pow(a, -1, b)
 
 
-def lattice_normalize(s: NumericalSemigroup, g: int) -> LatticeClass:
-    """The representative (x, y) of the class of value g with x in [0, b)."""
+def _coordinates(s: NumericalSemigroup, values: Iterable[int]
+                 ) -> tuple[int, int, list[tuple[int, int]]]:
+    """a, b and the point (x, y) of each value g: a*x + b*y = g, 0 <= x < b."""
     a, b, a_inverse = _plane(s)
-    x = a_inverse * g % b
-    return LatticeClass(x, (g - a * x) // b)
+    return a, b, [(x := a_inverse * g % b, (g - a * x) // b) for g in values]
 
 
-def _ordered_coordinates(
-        ideal: RelativeIdeal) -> tuple[int, int, list[int], list[int]]:
-    """a, b and the generator x and y lists by x in [0, b), chain checked."""
-    a, b, a_inverse = _plane(ideal.semigroup)
-    pairs = sorted((a_inverse * g % b, g) for g in ideal.min_gens)
-    xs = [x for x, _ in pairs]
-    ys = [(g - a * x) // b for x, g in pairs]
-    # ties in x sort by g, so by y: falling ys also rule out a repeated x
+def _ordered_coordinates(ideal: RelativeIdeal) -> tuple[
+        int, int, tuple[int, ...], tuple[int, ...]]:
+    """a, b and the generator x and y tuples by x in [0, b), chain checked."""
+    a, b, points = _coordinates(ideal.semigroup, ideal.min_gens)
+    xs, ys = zip(*sorted(points))
+    # ties in x sort by y: falling ys also rule out a repeated x
     if not all(map(gt, ys, ys[1:])) or ys[-1] <= ys[0] - a:
         raise RuntimeError(
             f"generator chain of {ideal!r} is not ordered: x={xs}, y={ys}")
@@ -94,12 +92,11 @@ def boundary_cycle(ideal: RelativeIdeal) -> BoundaryCycle:
     coordinate stays inside the ideal, i.e. both value - a and
     value - b are members.
     """
-    a, b, _ = _plane(ideal.semigroup)
-    entries = []
-    for g in sorted(apery_set(ideal, a + b)):
-        p = lattice_normalize(ideal.semigroup, g)
-        entries.append((_cyclic_key(a, b, p), p, g))
-    entries.sort()
+    s = ideal.semigroup
+    values = sorted(apery_set(ideal, sum(s.generators)))  # a + b, if <a, b>
+    a, b, points = _coordinates(s, values)
+    entries = sorted((_cyclic_key(a, b, p), p, g)
+                     for p, g in zip(map(LatticeClass._make, points), values))
     keys = tuple(k for k, _, _ in entries)
     if len(set(keys)) != len(keys):
         raise RuntimeError(f"duplicate cyclic keys in boundary of {ideal!r}")

@@ -139,7 +139,7 @@ def apery_set(a: RelativeIdeal, n: int) -> set[int]:
     Every x >= threshold + n has x - n in the tail, so over the window
     [lo, threshold + n) the set is own & ~(own << n).
     """
-    s, own = a.semigroup, a.set
+    s, own, n = a.semigroup, a.set, index(n)
     if n <= 0 or n not in s:
         raise ValueError(f"{n} is not a positive member of {s!r}")
     bits = own.window(own.lo, own.threshold + n)

@@ -221,6 +221,7 @@ class FiberGraph(NamedTuple):
 
 def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     _check_over(a.semigroup, b)
+    z = index(z)
     grid = [[int(z - x - y in a.semigroup) for y in b.min_gens]
             for x in a.min_gens]
     edges = frozenset((i, j) for i, row in enumerate(grid, 1)

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import semitorsion
+import semitorsion.cli as cli
 import semitorsion.search as search
 import semitorsion.semigroup as semigroup
 from semitorsion import (MODES, SearchSpec, TauEngine, coprime_pairs,
-                         make_semigroup)
+                         make_ideal, make_semigroup)
 from semitorsion.cli import build_parser, main
 
 
@@ -156,12 +157,53 @@ class TestTau:
         assert "v1 -- w1;" in out and "v2 -- w3;" in out and "v3 -- w2;" in out
 
 
+@pytest.fixture
+def ran(monkeypatch):
+    """The set of dual routes that the `dual` calls in a test run."""
+    names = set()
+    for name, attr in (("scan", "ideal_dual"), ("formula", "dual_formula"),
+                       ("reflection", "dual_symmetric")):
+        route = getattr(cli, attr)
+        monkeypatch.setattr(cli, attr, lambda a, name=name, route=route:
+                            names.add(name) or route(a))
+    return names
+
+
 class TestDual:
-    @pytest.mark.parametrize("method", ["formula", "bruteforce", "symmetric"])
-    def test_three_routes(self, capsys, method):
-        code, out, _ = run(capsys, "dual", "--semigroup", "5,7",
-                           "--ideal-a", "17,21,25", "--method", method)
-        assert code == 0 and out.strip() == "0,3,4"
+    # the scan runs over any S, the formula over <a, b> and the
+    # reflection over a symmetric S, which every <a, b> is
+    def test_three_routes(self, capsys, ran):
+        code, out, err = run(capsys, "dual", "--semigroup", "5,7",
+                             "--ideal-a", "17,21,25")
+        assert code == 0 and out.strip() == "0,3,4" and err == ""
+        assert ran == {"scan", "formula", "reflection"}
+
+    @pytest.mark.parametrize("gens, ideal, dual, routes", [
+        ("3,4,5", "0,1", "3,4,5", {"scan"}),
+        ("1", "0", "0", {"scan", "reflection"}),  # N is symmetric, F = -1
+    ], ids=["3,4,5", "1"])
+    def test_routes_off_the_plane(self, capsys, ran, gens, ideal, dual,
+                                  routes):
+        code, out, _ = run(capsys, "dual", "--semigroup", gens,
+                           "--ideal-a", ideal)
+        assert code == 0 and out.strip() == dual and ran == routes
+
+    def test_route_disagreement_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dual_formula",
+                            lambda a: make_ideal(a.semigroup, [1, 2]))
+        code, out, err = run(capsys, "dual", "--semigroup", "5,7",
+                             "--ideal-a", "17,21,25")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "scan 0,3,4" in err and "formula 1,2" in err
+        assert "reflection 0,3,4" in err
+
+    def test_method_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--semigroup", "5,7", "--ideal-a", "17,21,25",
+                  "--method", "formula"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert "unrecognized arguments: --method" in captured.err
 
     def test_principal(self, capsys):
         code, out, _ = run(capsys, "dual", "--semigroup", "5,7",
@@ -171,13 +213,14 @@ class TestDual:
     def test_negative_ideal_attached_with_equals(self, capsys):
         # a list starting with "-" would be read as an option
         code, out, _ = run(capsys, "dual", "--semigroup", "5,7",
-                           "--ideal-a=-4,3", "--method", "formula")
+                           "--ideal-a=-4,3")
         assert code == 0 and out.strip() == "4"
 
-    def test_formula_needs_two_generators(self, capsys):
-        code, _, err = run(capsys, "dual", "--semigroup", "4,5,6",
-                           "--ideal-a", "4,5", "--method", "formula")
-        assert code == 1 and "two-generated" in err
+    def test_formula_needs_two_generators(self, capsys, ran):
+        code, out, err = run(capsys, "dual", "--semigroup", "4,5,6",
+                             "--ideal-a", "4,5")
+        assert code == 0 and out.strip() == "0,1" and err == ""
+        assert ran == {"scan", "reflection"}
 
 
 class TestHw:

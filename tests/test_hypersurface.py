@@ -5,9 +5,8 @@ import pytest
 import semitorsion.hypersurface as hypersurface
 from semitorsion import (LatticeClass, boundary_cycle, dual_formula,
                          dual_symmetric, ideal_dual, make_ideal,
-                         make_semigroup, lattice_normalize,
-                         ordered_generators, torsion_generator_pairs,
-                         torsion_profile)
+                         make_semigroup, ordered_generators,
+                         torsion_generator_pairs, torsion_profile)
 
 from conftest import naive_dual_members
 
@@ -17,6 +16,12 @@ def rotate(pairs, a, b, r):
     moved = list(pairs[r:]) + [LatticeClass(p.x + b, p.y - a)
                                for p in pairs[:r]]
     return moved
+
+
+def normalize(s, g):
+    """The point the coordinate reader gives the value g over S."""
+    _, _, [(x, y)] = hypersurface._coordinates(s, [g])
+    return LatticeClass(x, y)
 
 
 def formula_from_pairs(s, pairs):
@@ -47,7 +52,7 @@ class TestConstruction:
             make_semigroup([4, 6])
         for gens in ([1, 5], [3, 4, 5]):
             with pytest.raises(ValueError, match="two-generated"):
-                lattice_normalize(make_semigroup(gens), 0)
+                ordered_generators(make_ideal(make_semigroup(gens), [0]))
         assert make_semigroup([7, 5]) is s57 and s57.frobenius == 23
 
     def test_rejects_foreign_ideal(self):
@@ -55,8 +60,7 @@ class TestConstruction:
         # mismatch; an ideal over a semigroup with no plane is refused
         s345 = make_semigroup([3, 4, 5])
         off_plane = make_ideal(s345, [0, 1])
-        for call in (lambda: lattice_normalize(s345, 7),
-                     lambda: ordered_generators(off_plane),
+        for call in (lambda: ordered_generators(off_plane),
                      lambda: boundary_cycle(off_plane),
                      lambda: dual_formula(off_plane),
                      lambda: torsion_generator_pairs(off_plane)):
@@ -66,19 +70,19 @@ class TestConstruction:
 
 class TestLatticeNormalize:
     def test_examples(self, s57):
-        assert lattice_normalize(s57, 17) == LatticeClass(2, 1)
-        assert lattice_normalize(s57, 21) == LatticeClass(0, 3)
-        assert lattice_normalize(s57, 25) == LatticeClass(5, 0)
-        assert lattice_normalize(s57, 0) == LatticeClass(0, 0)
+        assert normalize(s57, 17) == LatticeClass(2, 1)
+        assert normalize(s57, 21) == LatticeClass(0, 3)
+        assert normalize(s57, 25) == LatticeClass(5, 0)
+        assert normalize(s57, 0) == LatticeClass(0, 0)
 
     @pytest.mark.parametrize("g", [-13, 0, 1, 17, 40, 173])
     @pytest.mark.parametrize("lo", [-5, 0, 2, 9])
     def test_window_and_value(self, s57, g, lo):
         # each window [lo, lo + 7) of x holds one point of the class of g,
         # found by search; it lies a multiple of (7, -5) from the point
-        # lattice_normalize returns in [0, 7), and is that point exactly
-        # when the window holds it
-        p = lattice_normalize(s57, g)
+        # the reader returns in [0, 7), and is that point exactly when the
+        # window holds it
+        p = normalize(s57, g)
         assert 0 <= p.x < 7
         assert 5 * p.x + 7 * p.y == g
         window = [x for x in range(lo, lo + 7) if (g - 5 * x) % 7 == 0]

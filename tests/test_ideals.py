@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semitorsion import (CofiniteSet, NumericalSemigroup,
-                         SemigroupMismatchError, canonical_ideal_gens,
-                         dual_formula, dual_symmetric, fiber_class_count,
-                         ideal_dual, ideal_intersect, ideal_shift, ideal_sum,
+                         SemigroupMismatchError, apery_set,
+                         canonical_ideal_gens, dual_formula, dual_symmetric,
+                         fiber_class_count, fiber_graph, ideal_dual,
+                         ideal_intersect, ideal_shift, ideal_sum,
                          irreducible_triples, make_ideal, make_semigroup,
                          minimal_generators_of_set, torsion_length_2gen)
 
@@ -77,8 +78,13 @@ S57 = make_semigroup([5, 7])
     lambda k: fiber_class_count(make_ideal(S57, [0, 3]),
                                 make_ideal(S57, [0, 2]), k(-2), k(30)),
     lambda k: canonical_ideal_gens(S57, k(12), k(3)),
+    lambda k: k(30) in S57,
+    lambda k: fiber_graph(make_ideal(S57, [0, 3]), make_ideal(S57, [0, 2]),
+                          k(8)),
+    lambda k: apery_set(make_ideal(S57, [0, 3]), k(12)),
 ], ids=["irreducible_triples", "torsion_length_2gen", "ideal_shift",
-        "fiber_class_count", "canonical_ideal_gens"])
+        "fiber_class_count", "canonical_ideal_gens", "membership",
+        "fiber_graph", "apery_set"])
 def test_index_arguments(call):
     # any integer type answers as int does; a float is refused, not cut
     assert call(Index) == call(int)

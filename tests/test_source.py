@@ -256,6 +256,18 @@ def test_triple_scan_reads_no_window():
     assert names and not names & {"window", "below"}, names
 
 
+def test_cli_answers_run_their_checks():
+    # a CLI answer with an independent route computes that route too, and
+    # `dual` every route to the dual
+    path = SRC / "cli.py"
+    names = {}
+    for scope, name in _mentions(ast.parse(path.read_text(), str(path))):
+        names.setdefault(scope, set()).add(name)
+    assert {"profile", "torsion_profile"} <= names["cmd_tau"], names
+    assert {"ideal_dual", "dual_formula", "dual_symmetric"} <= names[
+        "cmd_dual"], names
+
+
 def test_bench_hooks_bind():
     # bench/spans.py wraps the traced layers by name, and reads the
     # engine's arguments; a refactor that renames, aliases or unbinds
