@@ -172,11 +172,14 @@ def ran(monkeypatch):
 class TestDual:
     # the scan runs over any S, the formula over <a, b> and the
     # reflection over a symmetric S, which every <a, b> is
-    def test_three_routes(self, capsys, ran):
+    # each case names a route by the old `--method` value that chose it
+    @pytest.mark.parametrize("route", ["formula", "scan", "reflection"],
+                             ids=["formula", "bruteforce", "symmetric"])
+    def test_three_routes(self, capsys, ran, route):
         code, out, err = run(capsys, "dual", "--semigroup", "5,7",
                              "--ideal-a", "17,21,25")
         assert code == 0 and out.strip() == "0,3,4" and err == ""
-        assert ran == {"scan", "formula", "reflection"}
+        assert route in ran and ran == {"scan", "formula", "reflection"}
 
     @pytest.mark.parametrize("gens, ideal, dual, routes", [
         ("3,4,5", "0,1", "3,4,5", {"scan"}),
