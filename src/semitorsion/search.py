@@ -89,6 +89,8 @@ class SearchSpec(SimpleNamespace):  # `search` takes its defaults from here
                  parallelism: int = 1, seed: int = 0, samples: int = 200):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+        ab_max, gen_window, mu_max, parallelism, seed, samples = map(
+            index, (ab_max, gen_window, mu_max, parallelism, seed, samples))
         for name, value, least in (
                 ("ab_max", ab_max, 6), ("mu_max", mu_max, 1),
                 ("parallelism (--jobs)", parallelism, 1),

@@ -11,18 +11,18 @@ as a `Batch` of byte-aligned lanes over every degree, and `_reps` shifts
 its rows by each left-hand generator into one int per generator pair
 and runs the bit-parallel component counter `_component_reps` on all of
 them at once. `Batch.suffix` drops lanes by a shift, so a campaign
-packs a semigroup's ideals once and calls the engine once per ideal;
-`component_counts` builds its one lane directly. A short tuple repeats
-its last generator, which is exact: the copied right vertex has the
-neighbours of the original. One multiply sums the byte popcounts of
-every lane up to 248 bits (k bytes sum to at most 8k < 256, no carry);
-wider lanes, such as the 368-bit ones of <11,29>, count one by one.
-Torsion totals, per-degree profiles and the component counts of a scan
-window all come from the engine; `fiber_graph` states the edge rule
-for one degree, for display. The independent reference uses neither
-the edge ints nor the counter: a bit flood fill of the fibers by
-generator steps, one lane per degree, `fiber_class_count` over a
-window and `torsion_profile` over the scan window. The records are
+packs a semigroup's ideals once and calls the engine once per ideal.
+A short tuple repeats its last generator, which is exact: the copied
+right vertex has the neighbours of the original. One multiply sums the
+byte popcounts of every lane up to 248 bits (k bytes sum to at most
+8k < 256, no carry); wider lanes, such as the 368-bit ones of <11,29>,
+count one by one. `component_counts` builds one lane over a scan
+window and sums its reps as byte digits, a byte per degree;
+`fiber_graph` states the edge rule for one degree, for display. The
+independent reference uses neither the edge ints nor the counter: a
+bit flood fill of the fibers by generator steps, one lane per degree,
+the lanes built by doubling shifts, `fiber_class_count` over a window
+and `torsion_profile` over the scan window. The records are
 `NamedTuple`s and `Batch` a frozen plain class, free of `dataclasses`;
 a `TorsionProfile` holds only its window and its degrees.
 """
@@ -32,10 +32,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from operator import add, and_, index, or_
-from struct import iter_unpack
+from struct import iter_unpack, unpack
 from typing import NamedTuple
 
-from .cofinite import CofiniteSet, bit_positions, reverse_bits
+from .cofinite import _DIGITS, CofiniteSet, reverse_bits
 from .ideals import (RelativeIdeal, _check_over, ideal_intersect, ideal_sum,
                      make_ideal)
 from .semigroup import NumericalSemigroup
@@ -168,12 +168,15 @@ class TauEngine:
     def component_counts(self, ga: tuple[int, ...],
                          gb: tuple[int, ...]) -> list[int]:
         """Fiber graph component counts of (ga, gb) over its scan window."""
+        ga, gb = (gb, ga) if len(gb) < len(ga) else (ga, gb)  # symmetric
         width = self.f + ga[-1] - ga[0] + gb[-1] - gb[0] + 1
         member, keep = self.s.window(0, width), (1 << width) - 1
-        counts = [0] * width  # bit w of the lane: degree ga[0] + gb[0] + w
-        for rep in self._reps(ga, [member << (g - gb[0]) for g in gb], keep):
-            for w in bit_positions(rep):
-                counts[w] += 1
+        reps = self._reps(ga, [member << (g - gb[0]) for g in gb], keep)
+        counts = [0] * width  # byte w of a rep's digits: its bit w
+        for p in range(0, len(reps), _DIGIT_PASS):
+            digits = sum(int.from_bytes(bin(rep)[:1:-1].encode().translate(
+                _DIGITS), "little") for rep in reps[p:p + _DIGIT_PASS])
+            counts = list(map(add, counts, digits.to_bytes(width, "little")))
         return counts
 
     def profile(self, ga: tuple[int, ...],
@@ -185,6 +188,7 @@ class TauEngine:
         return TorsionProfile((lo, hi), by_z)
 
 
+_DIGIT_PASS = 255  # reps a byte-digit sum adds with no carry
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
 
 
@@ -291,16 +295,17 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
     + gk is in B + S, inside B. So no mask joins nodes more than F
     apart: on lanes it costs more per round than the rounds it saves.
 
-    Each z has a byte-aligned lane, its nodes one shift and one AND of
-    A's bits and B's reversed bits, and one fill grows all lanes by the
-    same shifts. A lane spans the frame plus the largest generator (not
-    F: over <3,4,5> each exceeds F), so a step stays in its lane or
-    lands in the pad, which holds no node, nor does the top bit, the
-    guard. With bit 0 of each lane in `ones`, (rest | guard) - ones
-    borrows inside lanes only (SWAR): it clears each lane's lowest node
-    and keeps the guard of each lane with nodes. So an outer round seeds
-    every unfinished lane and adds 1 to its lane of the counter. Ints of
-    at most `_LANE_BITS` bits keep wide windows in cache.
+    Each z has a byte-aligned lane of A's bits AND rev >> (top - z), rev B's
+    reversed bits: copies of rev stride + 1 apart, made by doubling shifts
+    (not a repunit multiply, which costs stride times the bits), take one
+    shift for all lanes, and one fill grows them all. A lane spans the frame
+    plus the largest generator (not F: over <3,4,5> each exceeds F), so a
+    step stays in its lane or lands in the pad, which holds no node, nor
+    does the top bit, the guard. With bit 0 of each lane in `ones`,
+    (rest | guard) - ones borrows inside lanes only (SWAR): it clears each
+    lane's lowest node and keeps the guard of each lane with nodes. So an
+    outer round seeds every unfinished lane and adds 1 to its lane of the
+    counter. Ints of at most `_LANE_BITS` bits keep wide windows in cache.
 
     Below min A + min B the fiber is empty. From z = A.threshold +
     B.threshold + 2F + 3 on the count is 1 without a fill: all of
@@ -319,15 +324,18 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
         rev = reverse_bits(b.set.window(b.set.lo, top - a.set.lo + 1),
                            top - base + 1)
         size = max(4, (top - base + max(gens) + 8) // 8)  # bytes per lane
-        stride, one = 8 * size, (1).to_bytes(size, "little")
-        step = max(1, _LANE_BITS // stride)  # lanes per int
+        stride, span = 8 * size, 8 * size + 1  # span: copy to copy
+        step = min(max(1, _LANE_BITS // stride), top + 1 - first)  # lanes
+        ones = int.from_bytes((1).to_bytes(size, "little") * step, "little")
+        arep = int.from_bytes(amask.to_bytes(size, "little") * step, "little")
+        guard, revs, spaced, k = ones << (stride - 1), rev, 1, span
+        while k < step * span:  # doubles the k // span copies of rev and 1
+            revs, spaced, k = revs | revs << k, spaced | spaced << k, 2 * k
         for z0 in range(first, top + 1, step):
-            zs = range(z0, min(z0 + step, top + 1))
-            rest = int.from_bytes(b"".join([
-                (amask & (rev >> (top - z))).to_bytes(size, "little")
-                for z in zs]), "little")
-            ones = int.from_bytes(one * len(zs), "little")
-            guard, tally = ones << (stride - 1), 0
+            # lane i keeps [0, z0 + i - base], not the low bits of copy i +
+            # 1; lanes past top, in the last block, are dropped at the end
+            keep = (spaced << (z0 - base + 1)) - ones
+            rest, tally = (revs >> (top - z0)) & keep & arep, 0
             while rest:
                 low = (rest | guard) - ones
                 tally += (low & guard) >> (stride - 1)
@@ -339,9 +347,9 @@ def fiber_class_count(a: RelativeIdeal, b: RelativeIdeal, lo: int,
                         grown |= (new << g) | (new >> g)
                     new = grown & rest
                     rest ^= new
-            counts += [c for c, in iter_unpack(
-                f"<I{size - 4}x", tally.to_bytes(size * len(zs), "little"))]
-    return counts + [1] * (hi + 1 - max(lo, cut))
+            counts += unpack("<" + f"I{size - 4}x" * step,
+                             tally.to_bytes(size * step, "little"))
+    return counts[:top + 1 - lo] + [1] * (hi + 1 - max(lo, cut))
 
 
 _SPLIT_CAP = 20  # generators of A: 2^(n-1) - 1 splits are tried

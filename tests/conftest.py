@@ -119,6 +119,16 @@ def naive_betti_1(semi_gens: list[int], ideal_gens: list[int],
     return total
 
 
+class Index:
+    """An integer type with only `__index__`, as numpy's integers have."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 @pytest.fixture
 def oracles():
     return knapsack_members, naive_ideal_members, naive_dual_members

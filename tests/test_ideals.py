@@ -12,7 +12,8 @@ from semitorsion import (CofiniteSet, NumericalSemigroup,
                          irreducible_triples, make_ideal, make_semigroup,
                          minimal_generators_of_set, torsion_length_2gen)
 
-from conftest import knapsack_members, naive_dual_members, naive_ideal_members
+from conftest import (Index, knapsack_members, naive_dual_members,
+                      naive_ideal_members)
 
 semigroup_gens = st.lists(st.integers(2, 11), min_size=1, max_size=3).map(
     lambda gs: gs + [max(gs) + 1]  # consecutive pair forces gcd 1
@@ -56,16 +57,6 @@ def test_non_integers_raise(build):
     # truncating 2.5 to 2 would answer for another semigroup
     with pytest.raises(TypeError):
         build()
-
-
-class Index:
-    """An integer type with only `__index__`, as numpy's integers have."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 S57 = make_semigroup([5, 7])

@@ -22,6 +22,8 @@ from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
                          make_semigroup, run_search, torsion_profile)
 from semitorsion.torsion import _lane_counts
 
+from conftest import Index
+
 
 def written_records(path) -> list[dict]:
     """The records of a stream; every line must be the bytes json.dumps
@@ -263,6 +265,18 @@ class TestSpec:
         spec = SearchSpec(ab_max=20, mode="hw")
         assert spec.window_for(3, 5) == 8
         assert SearchSpec(ab_max=20, mode="hw", gen_window=6).window_for(3, 5) == 6
+
+    @pytest.mark.parametrize("field,value", [
+        ("ab_max", 20), ("gen_window", 6), ("mu_max", 2),
+        ("parallelism", 2), ("seed", 3), ("samples", 5)])
+    def test_integer_fields(self, field, value):
+        # a float would reach `range`, the pool or the seed of a stream
+        with pytest.raises(TypeError):
+            SearchSpec(mode="oracle-compare", **{field: value + 0.5})
+        spec = SearchSpec(mode="oracle-compare", **{field: Index(value)})
+        assert type(getattr(spec, field)) is int
+        assert vars(spec) == vars(SearchSpec(mode="oracle-compare",
+                                             **{field: value}))
 
 
 class TestRunSearch:

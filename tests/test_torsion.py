@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,24 @@ class TestFiberComponentCounts:
         a, b = make_ideal(s, [3]), make_ideal(s, [5])
         assert scan_window(a, b) == (8, 7)
         assert TauEngine(s).component_counts(a.min_gens, b.min_gens) == []
+
+    @pytest.mark.parametrize("cap", [255, 2, 1])
+    @pytest.mark.parametrize("semi,ga,gb", [
+        ([5, 7], [9], [17, 21, 25]),
+        ([5, 7], [0, 3], [0, 1, 2, 3]),
+        ([5, 11], [20, 21, 22], [0, 23, 24]),
+    ])
+    def test_either_order_matches_fill(self, semi, ga, gb, cap, monkeypatch):
+        # the shorter tuple gives the reps; some degree counts min(mu)
+        # classes, so caps 1 and 2 sum its byte digits in passes
+        monkeypatch.setattr(torsion, "_DIGIT_PASS", cap)
+        s = make_semigroup(semi)
+        a, b = make_ideal(s, ga), make_ideal(s, gb)
+        engine = TauEngine(s)
+        counts = engine.component_counts(a.min_gens, b.min_gens)
+        assert counts == engine.component_counts(b.min_gens, a.min_gens)
+        assert counts == fiber_class_count(a, b, *scan_window(a, b))
+        assert max(counts) == min(a.mu, b.mu)
 
 
 class TestTauAt:
@@ -343,6 +362,19 @@ class TestFiberClassCount:
     def test_lanes_match_naive(self, window):
         # one fill over every degree, each in its own lane
         assert fiber_class_count(*window) == naive_window(*window)
+
+    @given(lane_windows(), st.sampled_from([1, 2, 3, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_naive(self, window, lanes):
+        # ints of `lanes` lanes: the doubling overshoots 3 and 5, and the
+        # last block of a window often fills lanes past its top
+        a, b, lo, hi = window
+        top = min(hi, a.set.threshold + b.set.threshold
+                  + 2 * a.semigroup.frobenius + 2)
+        size = max(4, (top - a.set.lo - b.set.lo
+                       + max(a.semigroup.generators) + 8) // 8)
+        with patch.object(torsion, "_LANE_BITS", lanes * 8 * size):
+            assert fiber_class_count(*window) == naive_window(*window)
 
     @pytest.mark.parametrize("semi,ga,gb", [
         ([2, 29], [4, 11], [53, 54]),
