@@ -17,10 +17,10 @@ tau and the support are symmetric. Every mode is a runner in
 `_MODE_RUNNERS`, called as `runner(spec, *task)` per task: a pair
 (a, b), or for `oracle-compare`, whose samples share one random stream,
 the one empty task. It writes its own fixed-schema f-string next to the
-values it formats and yields blocks through `_block`: one per ideal A in
-half-mu, one per semigroup in dual and hw, one per 100 samples in
-oracle-compare, so a long run still streams. A block carries its text,
-record count, failed lines and stats; `run_search` folds them in order.
+values it formats and yields blocks: one per ideal A in half-mu, one join
+with the bound read off the row minima; one per semigroup in dual and hw;
+one per 100 samples in oracle-compare, so a long run streams. A block
+carries its text, record count, failed lines and stats, folded in order.
 Every line is the one `json.dumps(record, sort_keys=True,
 separators=(",", ":"))` gives. The spec and summary are plain
 `SimpleNamespace`s, and only a pool imports `concurrent.futures`.
@@ -151,7 +151,9 @@ def _half_mu_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
 
     Row p of the tables takes its entries before p from earlier engine
     calls. Rows go out in canonical order of A, by mu of B within a row;
-    the block of ideal p carries the stats of row p's engine call.
+    the block of ideal p carries the stats of row p's engine call. All
+    rows' minima bound every pair; while none is negative every line
+    holds, else only the failing lines are rewritten.
     """
     s = make_semigroup((a, b))
     engine = TauEngine(s)
@@ -165,31 +167,35 @@ def _half_mu_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
     batch = engine.pack(ideals, max(g[-1] for g in ideals))
     taus: list[list[int]] = []  # the rows of the tau and support tables
     supports: list[list[int]] = []
-    row_stats = []
+    row_stats, bound_ok = [], True  # bound_ok: no row minimum is negative
     for p, ga in enumerate(ideals):
         ts, cs = engine.tau_support_batch(ga, batch.suffix(p))
         taus.append([row[p] for row in taus] + ts)
         supports.append([row[p] for row in supports] + cs)
         mms = [mus[p] * mb for mb in mus[p:]]
-        row_stats.append({
-            "min_two_tau_minus_mu_mu": min(map(sub, map(add, ts, ts), mms)),
-            "min_tau_plus_support_minus_mu_mu":
-                min(map(sub, map(add, ts, cs), mms)),
-            "max_tau": max(ts),
-        })
+        least = [min(map(sub, map(add, ts, x), mms)) for x in (ts, cs)]
+        bound_ok = bound_ok and min(least) >= 0
+        row_stats.append({"min_two_tau_minus_mu_mu": least[0],
+                          "min_tau_plus_support_minus_mu_mu": least[1],
+                          "max_tau": max(ts)})
     keys = [_gens_key(g) for g in ideals]
     tails = {mu_a: [f'"gens_B":"{key}","mu_A":{mu_a},"mu_B":{mb},"support":'
                     for key, mb in zip(keys, mus)] for mu_a in set(mus)}
     position = {g: p for p, g in enumerate(ideals)}
     for ga in canonical:
         p, mu_a = position[ga], len(ga)
-        heads = tuple(f'{{"a":{a},"b":{b},"bound_ok":{flag},'
-                      f'"gens_A":"{keys[p]}",' for flag in ("false", "true"))
+        head = f'{{"a":{a},"b":{b},"bound_ok":true,"gens_A":"{keys[p]}",'
+        text = head + f'}}\n{head}'.join([
+            f'{tail}{c},"tau":{t}' for tail, t, c
+            in zip(tails[mu_a], taus[p], supports[p])]) + "}\n"
+        if bound_ok:
+            yield text, len(ideals), [], row_stats[p]
+            continue
         oks = [t + c >= mu_a * mb and 2 * t >= mu_a * mb
                for t, c, mb in zip(taus[p], supports[p], mus)]
-        lines = [f'{heads[ok]}{tail}{c},"tau":{t}}}\n' for ok, tail, t, c
-                 in zip(oks, tails[mu_a], taus[p], supports[p])]
-        yield _block(lines, oks, row_stats[p])
+        yield _block([line if ok else line.replace(
+            '"bound_ok":true', '"bound_ok":false', 1) for line, ok in zip(
+                text.splitlines(True), oks)], oks, row_stats[p])
 
 
 def _dual_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:

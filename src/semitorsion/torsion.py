@@ -6,25 +6,25 @@ bipartite graph on the minimal generators of A and B. The torsion
 number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
-One engine computes them. `TauEngine.pack` lays right-hand tuples out
-as a `Batch` of byte-aligned lanes over every degree, and `_reps` shifts
-its rows by each left-hand generator into one int per generator pair
-and runs the bit-parallel component counter `_component_reps` on all of
-them at once. `Batch.suffix` drops lanes by a shift, so a campaign
-packs a semigroup's ideals once and calls the engine once per ideal.
-A short tuple repeats its last generator, which is exact: the copied
-right vertex has the neighbours of the original. One multiply sums the
-byte popcounts of every lane up to 248 bits (k bytes sum to at most
-8k < 256, no carry); wider lanes, such as the 368-bit ones of <11,29>,
-count one by one. `component_counts` builds one lane over a scan
-window and sums its reps as byte digits, a byte per degree;
-`fiber_graph` states the edge rule for one degree, for display. The
-independent reference uses neither the edge ints nor the counter: a
+One engine computes them. `TauEngine.pack` lays right-hand tuples out as
+a `Batch` of byte-aligned lanes over every degree, and `_reps` shifts
+its rows by each left-hand generator into one int per generator pair and
+runs the bit-parallel component counter `_component_reps` on all of them
+at once. `Batch.suffix` drops lanes by a shift, so a campaign packs a
+semigroup's ideals once and calls the engine once per ideal. A short
+tuple repeats its last generator, which is exact: the copied right
+vertex has the neighbours of the original. One count reads the extra
+reps and their union, end to end: one multiply sums the byte popcounts
+of all lanes up to 248 bits (8k < 256 for k bytes); wider lanes, such as
+the 368-bit ones of <11,29>, count one by one. `component_counts` builds
+one lane over a scan window and sums its reps as byte digits, a byte per
+degree; `fiber_graph` states the edge rule for one degree, for display.
+The independent reference uses neither the edge ints nor the counter: a
 bit flood fill of the fibers by generator steps, one lane per degree,
 the lanes built by doubling shifts, `fiber_class_count` over a window
 and `torsion_profile` over the scan window. The records are
-`NamedTuple`s and `Batch` a frozen plain class, free of `dataclasses`;
-a `TorsionProfile` holds only its window and its degrees.
+`NamedTuple`s and `Batch` a frozen plain class, free of `dataclasses`; a
+`TorsionProfile` holds only its window and its degrees.
 """
 
 from __future__ import annotations
@@ -151,19 +151,23 @@ class TauEngine:
     def tau_support_batch(self, ga: tuple[int, ...],
                           batch: Batch) -> tuple[list[int], list[int]]:
         """(tau totals, support sizes) of (ga, gb) for each gb of `batch`,
-        which `pack` laid out over this semigroup for ga's spread or more."""
+        which `pack` laid out over this semigroup for ga's spread or more.
+        One lane count reads the support and each extra rep, end to end."""
         if batch.semigroup != self.s or ga[-1] - ga[0] > batch.spread:
             raise ValueError(f"batch not packed over {self.s.generators} "
                              f"for a spread of {ga[-1] - ga[0]}")
         lanes, stride = len(batch), batch.stride
         reps = self._reps(ga, batch.rows, batch.keep)
-        tau = [0] * lanes
-        multi = 0  # the degrees with more than one component
+        stacked = multi = 0  # multi: the degrees with more than one component
         # a rep past the first component at its degree adds one to tau
         for e in map(and_, reps[1:], accumulate(reps, or_)):
-            tau = list(map(add, tau, _lane_counts(e, lanes, stride)))
-            multi |= e
-        return tau, list(_lane_counts(multi, lanes, stride))
+            stacked, multi = stacked << lanes * stride | e, multi | e
+        counts = _lane_counts(stacked << lanes * stride | multi,
+                              len(reps) * lanes, stride)  # multi's lanes first
+        tau = bytes(lanes)
+        for i in range(1, len(reps)):
+            tau = map(add, tau, counts[i * lanes:(i + 1) * lanes])
+        return list(tau), list(counts[:lanes])
 
     def component_counts(self, ga: tuple[int, ...],
                          gb: tuple[int, ...]) -> list[int]:

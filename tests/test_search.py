@@ -238,6 +238,26 @@ class TestTauEngine:
             expected.append((profile.total, profile.support_size))
         assert list(zip(*engine.tau_support_batch(ga, packed))) == expected
 
+    @pytest.mark.parametrize("gens", [(5, 7), (11, 29)])
+    @pytest.mark.parametrize("ga", [(0,), (0, 1), (0, 1, 2, 3)])
+    def test_stacked_counts_agree_with_profile(self, gens, ga):
+        # one lane count over every extra rep and their union, end to end:
+        # none for a principal ga, three for four generators, on both
+        # sides of the 248-bit switch, over every suffix down to the empty
+        s = make_semigroup(gens)
+        engine = TauEngine(s)
+        gbs = canonical_ideal_gens(s, 8, 3)
+        packed = engine.pack(gbs, ga[-1] - ga[0])
+        assert (packed.stride > 248) == (gens == (11, 29)), packed.stride
+        expected = []
+        for gb in gbs:
+            profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
+            expected.append((profile.total, profile.support_size))
+        assert any(tau for tau, _ in expected) == (len(ga) > 1), expected
+        for k in range(len(gbs) + 1):
+            assert list(zip(*engine.tau_support_batch(
+                ga, packed.suffix(k)))) == expected[k:], k
+
     def test_empty_batch(self):
         # an empty packing, and a suffix past the last lane, count nothing
         engine = TauEngine(make_semigroup([2, 3]))
@@ -603,3 +623,38 @@ class TestRecordStream:
         assert summary.violation_count == summary.records == len(records) > 100
         assert summary.violations == records[:100]
         assert not any(r["bound_ok"] for r in records)
+
+    def test_half_mu_mixed_violations(self, monkeypatch, tmp_path):
+        # tau zeroed on every third lane of the calls for three-generator
+        # ideals: their rows fail, and hold records that pass, from the
+        # two-generator rows before them, which pass whole
+        true_batch = TauEngine.tau_support_batch
+
+        def thinned(self, ga, batch):
+            taus, supports = true_batch(self, ga, batch)
+            if len(ga) == 3:
+                taus[::3] = [0] * len(taus[::3])
+            return taus, supports
+
+        # the pool forks, so its workers inherit the patch
+        monkeypatch.setattr(TauEngine, "tau_support_batch", thinned)
+        paths = [tmp_path / f"jobs{jobs}.jsonl" for jobs in (1, 2)]
+        summaries = [run_search(SearchSpec(
+            ab_max=30, mode="half-mu-bound", mu_max=3, parallelism=jobs,
+            output_path=str(path))) for jobs, path in zip((1, 2), paths)]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert summaries[0] == summaries[1]
+        records = written_records(paths[0])
+        for r in records:
+            mm = r["mu_A"] * r["mu_B"]
+            assert r["bound_ok"] == (r["tau"] + r["support"] >= mm
+                                     and 2 * r["tau"] >= mm), r
+        failed = [r for r in records if not r["bound_ok"]]
+        assert summaries[0].violation_count == len(failed) > 100
+        assert summaries[0].violations == failed[:100]
+        rows = collections.defaultdict(set)  # (a, b, gens_A): bound_ok seen
+        for r in records:
+            rows[r["a"], r["b"], r["gens_A"]].add(r["bound_ok"])
+        mixed = {key[:2] for key, oks in rows.items() if oks == {True, False}}
+        passing = {key[:2] for key, oks in rows.items() if oks == {True}}
+        assert mixed & passing, (mixed, passing)

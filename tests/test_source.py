@@ -256,6 +256,18 @@ def test_triple_scan_reads_no_window():
     assert names and not names & {"window", "below"}, names
 
 
+def test_engine_counts_lanes_once():
+    # the engine stacks its extra reps and their union into one int and
+    # counts its lanes in one call: a count per rep pays its own round
+    # trip through to_bytes, translate and the repunit multiply
+    path = SRC / "torsion.py"
+    calls = [name for scope, name in
+             _mentions(ast.parse(path.read_text(), str(path)))
+             if scope == "TauEngine.tau_support_batch"
+             and name == "_lane_counts"]
+    assert len(calls) == 1, calls
+
+
 def test_cli_answers_run_their_checks():
     # a CLI answer with an independent route computes that route too, and
     # `dual` every route to the dual
