@@ -7,31 +7,33 @@ number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
 One engine computes them. `TauEngine.pack` lays right-hand tuples out as
-a `Batch` of byte-aligned lanes over every degree, and `_reps` shifts
-its rows by each left-hand generator into one int per generator pair and
-runs the bit-parallel component counter `_component_reps` on all of them
-at once. `Batch.suffix` drops lanes by a shift, so a campaign packs a
-semigroup's ideals once and calls the engine once per ideal. A short
-tuple repeats its last generator, which is exact: the copied right
-vertex has the neighbours of the original. One count reads the extra
-reps and their union, end to end: one multiply sums the byte popcounts
-of all lanes up to 248 bits (8k < 256 for k bytes); wider lanes, such as
+a `Batch` of byte-aligned lanes over every degree, with a table of one
+int per generator difference. `_reps` reads the shared right neighbours
+of each pair of left-hand generators off it with one shift and runs the
+bit-parallel component counter `_component_reps` on every lane at once.
+`Batch.suffix` moves an offset over the same rows and table, so a
+campaign packs a semigroup's ideals once and calls the engine once per
+ideal. A short tuple repeats its last generator, which is exact: the
+copied right vertex has the neighbours of the original. One count reads
+the extra reps and their union: one multiply sums the byte popcounts of
+all lanes up to 248 bits (8k < 256 for k bytes); wider lanes, such as
 the 368-bit ones of <11,29>, count one by one. `component_counts` builds
-one lane over a scan window and sums its reps as byte digits, a byte per
-degree; `fiber_graph` states the edge rule for one degree, for display.
-The independent reference uses neither the edge ints nor the counter: a
-bit flood fill of the fibers by generator steps, one lane per degree,
-the lanes built by doubling shifts, `fiber_class_count` over a window
-and `torsion_profile` over the scan window. The records are
-`NamedTuple`s and `Batch` a frozen plain class, free of `dataclasses`; a
+one lane over a scan window and sums its reps as byte digits;
+`fiber_graph` states the edge rule for one degree. The independent
+reference uses neither the engine's ints nor the counter: a bit flood
+fill of the fibers by generator steps, one lane per degree, the lanes
+built by doubling shifts, `fiber_class_count` over a window and
+`torsion_profile` over the scan window. The records are `NamedTuple`s
+and `Batch` a frozen plain class, free of `dataclasses`; a
 `TorsionProfile` holds only its window and its degrees.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import reduce
 from itertools import accumulate
-from operator import add, and_, index, or_
+from operator import add, and_, index, lt, or_
 from struct import iter_unpack, unpack
 from typing import NamedTuple
 
@@ -41,52 +43,36 @@ from .ideals import (RelativeIdeal, _check_over, ideal_intersect, ideal_sum,
 from .semigroup import NumericalSemigroup
 
 
-def _component_reps(edges: list[list[int]]) -> list[int]:
+def _component_reps(reach: list[list[int]]) -> list[int]:
     """Least-indexed left vertex of each component, for many graphs at once.
 
-    `edges[i][j]` is an int whose bit p says that left vertex i and
-    right vertex j are joined in graph p. Every vertex present in a
-    graph must carry an edge there, so each component holds a left
-    vertex and the components are the classes of "share a right
-    neighbour" closed over the left vertices (Floyd-Warshall on bits).
-    Bit p of entry i of the result is set when left vertex i is present
-    in graph p and no lower-indexed left vertex shares its component.
+    Bit p of `reach[i][k]`, a symmetric matrix, says that left vertices i
+    and k share a right neighbour in graph p (i is present if k = i). Each
+    present vertex carries an edge, so the components are the classes of
+    `reach` closed in place (Warshall on bits), each pair k < i apart from
+    m set once through m, and mirrored: reach[i][m] is in reach[m][m]. Rep
+    i has bit p when i is the least vertex of its component in graph p.
     """
-    n = len(edges)
-    reach = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(i + 1):
-            shared = 0
-            for x, y in zip(edges[i], edges[k]):
-                shared |= x & y
-            reach[i][k] = reach[k][i] = shared
-    for m in range(n):
-        via_m = reach[m]
-        for row in reach:
-            via = row[m]
-            if via:
-                for k in range(n):
-                    row[k] |= via & via_m[k]
-    reps = []
-    for i, row in enumerate(reach):
-        lower = 0
-        for k in range(i):
-            lower |= row[k]
-        reps.append(row[i] & ~lower)
-    return reps
+    for m, via_m in enumerate(reach):
+        for i in range(1, len(reach)):
+            if i != m and (via := via_m[i]):
+                row = reach[i]
+                for k in range(i):
+                    if k != m:
+                        row[k] = reach[k][i] = row[k] | via & via_m[k]
+    return [row[i] & ~reduce(or_, row[:i], 0) for i, row in enumerate(reach)]
 
 
 class Batch:
     """Generator tuples as lanes, from `TauEngine.pack`: row j holds
-    generator j of each tuple, and `keep` is the lane mask in each lane."""
+    generator j of each tuple, lane 0 from bit `offset` on, `keep` is the
+    lane mask from bit 0, and `table` is `_reps`' difference ints."""
 
-    __slots__ = ("semigroup", "gbs", "spread", "stride", "keep", "rows")
+    __slots__ = ("semigroup", "gbs", "spread", "stride", "keep", "rows",
+                 "offset", "table")
 
-    def __init__(self, semigroup: NumericalSemigroup,
-                 gbs: tuple[tuple[int, ...], ...], spread: int, stride: int,
-                 keep: int, rows: tuple[int, ...]) -> None:
-        for name, value in zip(Batch.__slots__, (semigroup, gbs, spread,
-                                                 stride, keep, rows)):
+    def __init__(self, *fields: object) -> None:  # in __slots__ order
+        for name, value in zip(Batch.__slots__, fields, strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -99,11 +85,17 @@ class Batch:
         return iter(self.gbs)
 
     def suffix(self, p: int) -> Batch:
-        """The batch of gbs[p:], its lanes shifted down past the first p."""
+        """The batch of gbs[p:]: its rows and table from p lanes up."""
         shift = p * self.stride
-        rows = tuple(row >> shift for row in self.rows)
         return Batch(self.semigroup, self.gbs[p:], self.spread, self.stride,
-                     self.keep >> shift, rows)
+                     self.keep >> shift, self.rows, self.offset + shift,
+                     self.table)
+
+
+def _check_ascending(*tuples: Sequence[int]) -> None:
+    for gens in tuples:
+        if not all(map(lt, gens, gens[1:])):
+            raise ValueError(f"{tuple(gens)} is not strictly ascending")
 
 
 class TauEngine:
@@ -119,8 +111,10 @@ class TauEngine:
         Bit w of a lane stands for degree ga[0] + min gb[0] + w, up to the
         top of every pair's scan window; the extra fibers of a pair with
         a smaller spread carry no torsion. A lane's stride, a whole number
-        of bytes, leaves room for the shift by ga.
+        of bytes, leaves room for the shift by ga; lane 0 starts at bit
+        `spread`, so that `_reps` shifts right only.
         """
+        _check_ascending(*gbs)
         base = min((gb[0] for gb in gbs), default=0)
         top = max((gb[-1] for gb in gbs), default=0)
         width = self.f + spread + top - base + 1
@@ -137,27 +131,38 @@ class TauEngine:
                     chunks[g] = ((member << (g - base)) & lane).to_bytes(
                         size, "little")
                 column.append(chunks[g])
-            rows.append(int.from_bytes(b"".join(column), "little"))
+            rows.append(int.from_bytes(b"".join(column), "little") << spread)
         return Batch(self.s, tuple(gbs), spread, 8 * size, int.from_bytes(
-            lane.to_bytes(size, "little") * len(gbs), "little"), tuple(rows))
+            lane.to_bytes(size, "little") * len(gbs), "little"), tuple(rows),
+            spread, {})
 
     def _reps(self, ga: tuple[int, ...], rows: Sequence[int],
-              keep: int) -> list[int]:
-        """`_component_reps` of (ga, gb) on the lanes of `rows` cut to `keep`:
-        a degree's component count is the number of reps with its bit set."""
-        return _component_reps(
-            [[(row << (g - ga[0])) & keep for row in rows] for g in ga])
+              table: dict[int, int], offset: int, keep: int) -> list[int]:
+        """`_component_reps` of (ga, gb) on `rows` cut to `keep`, lane 0 at
+        bit `offset` >= ga's spread. As (r << s) & (r << t) = (r & r << (s
+        - t)) << t, vertices i >= k share table[ga[i] - ga[k]] >> (offset -
+        ga[k] + ga[0]); table[d], added if missing, is OR of r & r << d."""
+        top, reach = offset + ga[0], [[0] * len(ga) for _ in ga]
+        for i, g in enumerate(ga):
+            for k, h in enumerate(ga[:i + 1]):
+                if (shared := table.get(g - h)) is None:
+                    shared = table[g - h] = reduce(
+                        or_, [r & r << (g - h) for r in rows], 0)
+                reach[i][k] = reach[k][i] = shared >> (top - h) & keep
+        return _component_reps(reach)
 
     def tau_support_batch(self, ga: tuple[int, ...],
                           batch: Batch) -> tuple[list[int], list[int]]:
         """(tau totals, support sizes) of (ga, gb) for each gb of `batch`,
         which `pack` laid out over this semigroup for ga's spread or more.
         One lane count reads the support and each extra rep, end to end."""
+        _check_ascending(ga)
         if batch.semigroup != self.s or ga[-1] - ga[0] > batch.spread:
             raise ValueError(f"batch not packed over {self.s.generators} "
                              f"for a spread of {ga[-1] - ga[0]}")
         lanes, stride = len(batch), batch.stride
-        reps = self._reps(ga, batch.rows, batch.keep)
+        reps = self._reps(ga, batch.rows, batch.table, batch.offset,
+                          batch.keep)
         stacked = multi = 0  # multi: the degrees with more than one component
         # a rep past the first component at its degree adds one to tau
         for e in map(and_, reps[1:], accumulate(reps, or_)):
@@ -172,10 +177,13 @@ class TauEngine:
     def component_counts(self, ga: tuple[int, ...],
                          gb: tuple[int, ...]) -> list[int]:
         """Fiber graph component counts of (ga, gb) over its scan window."""
+        _check_ascending(ga, gb)
         ga, gb = (gb, ga) if len(gb) < len(ga) else (ga, gb)  # symmetric
-        width = self.f + ga[-1] - ga[0] + gb[-1] - gb[0] + 1
+        spread = ga[-1] - ga[0]
+        width = self.f + spread + gb[-1] - gb[0] + 1
         member, keep = self.s.window(0, width), (1 << width) - 1
-        reps = self._reps(ga, [member << (g - gb[0]) for g in gb], keep)
+        reps = self._reps(ga, [member << (g - gb[0] + spread) for g in gb],
+                          {}, spread, keep)
         counts = [0] * width  # byte w of a rep's digits: its bit w
         for p in range(0, len(reps), _DIGIT_PASS):
             digits = sum(int.from_bytes(bin(rep)[:1:-1].encode().translate(
@@ -228,6 +236,7 @@ class FiberGraph(NamedTuple):
 
 
 def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
+    """The fiber graph over z; its grid's shared bits feed the counter."""
     _check_over(a.semigroup, b)
     z = index(z)
     grid = [[int(z - x - y in a.semigroup) for y in b.min_gens]
@@ -238,7 +247,8 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
     # i has an edge; symmetrically for the columns.
     lefts = tuple(sorted({i for i, _ in edges}))
     rights = tuple(sorted({j for _, j in edges}))
-    return FiberGraph(z, lefts, rights, edges, sum(_component_reps(grid)))
+    reach = [[reduce(or_, map(and_, x, y)) for y in grid] for x in grid]
+    return FiberGraph(z, lefts, rights, edges, sum(_component_reps(reach)))
 
 
 class TorsionProfile(NamedTuple):

@@ -60,6 +60,35 @@ def naive_fiber_classes(semi_gens: list[int], gens_a: list[int],
     return classes
 
 
+def naive_component_reps(reach: list[list[int]]) -> list[int]:
+    """Least vertex of each component, one bit-graph at a time, by union-find.
+
+    Bit p of reach[i][i] says that vertex i is present in graph p, and of
+    reach[i][k] that i and k are joined there. A union keeps the smaller
+    root, so each component's root is its least vertex.
+    """
+    n = len(reach)
+    reps = [0] * n
+    for p in range(max((x.bit_length() for row in reach for x in row),
+                       default=0)):
+        parent = list(range(n))
+
+        def root(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i in range(n):
+            for k in range(i):
+                if reach[i][k] >> p & 1:
+                    low, high = sorted((root(i), root(k)))
+                    parent[high] = low
+        for i in range(n):
+            if reach[i][i] >> p & 1 and root(i) == i:
+                reps[i] |= 1 << p
+    return reps
+
+
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank over GF(p) of integer row vectors, by Gauss-Jordan elimination."""
     rows = [[x % p for x in row] for row in rows]

@@ -18,8 +18,9 @@ import semitorsion.search as search
 import semitorsion.semigroup as semigroup
 
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
-                         coprime_pairs, ideal_shift, make_ideal,
-                         make_semigroup, run_search, torsion_profile)
+                         coprime_pairs, fiber_class_count, ideal_shift,
+                         make_ideal, make_semigroup, run_search, scan_window,
+                         torsion_profile)
 from semitorsion.torsion import _lane_counts
 
 from conftest import Index
@@ -149,6 +150,60 @@ class TestTauEngine:
         same = TauEngine(semigroup.NumericalSemigroup([4, 3])).pack(gbs, 5)
         assert engine.tau_support_batch(ga, same) == \
             engine.tau_support_batch(ga, engine.pack(gbs, 5))
+
+    @pytest.mark.parametrize("call", [
+        lambda e, bad: e.tau_support_batch(bad, e.pack([(0, 9), (0, 1)], 1)),
+        lambda e, bad: e.pack([(0, 1), bad], 7),
+        lambda e, bad: e.component_counts((0, 1), bad),
+        lambda e, bad: e.profile(bad, (0, 1)),
+    ], ids=["tau_support_batch", "pack", "component_counts", "profile"])
+    def test_unsorted_tuple_raises(self, call):
+        # (8, 15, 9) understates its spread as 1, so over a batch packed
+        # for that its shifted edges would spill into the next lane: its
+        # tau against (0, 1) would read 20, where (8, 9, 15) gives 21
+        engine = TauEngine(make_semigroup([5, 12]))
+        gbs = [(0, 9), (0, 1), (2, 15), (3, 6, 14)]
+        assert engine.tau_support_batch((8, 9, 15), engine.pack(gbs, 7))[
+            0] == [13, 21, 11, 18]
+        with pytest.raises(ValueError,
+                           match=r"^\(8, 15, 9\) is not strictly ascending$"):
+            call(engine, (8, 15, 9))
+        with pytest.raises(ValueError, match=r"^\(0, 0\) is not strictly"):
+            call(engine, (0, 0))
+
+    @pytest.mark.parametrize("gens,window,extra", [
+        ((5, 7), 8, [(-6, -4), (-3, 2, 6)]),  # 248-bit lanes
+        ((11, 29), 5, [(-2, 9)]),  # 368-bit lanes
+    ], ids=["5-7", "11-29"])
+    def test_one_table_serves_every_call(self, gens, window, extra):
+        # as in half-mu, the left tuples run in ascending mu, ideal p on
+        # suffix(p) first, so a longer tuple adds its differences to the
+        # table at a suffix's offset; every suffix on from p must equal a
+        # fresh packing and the flood fill, and the one-lane
+        # component_counts of each pair the fill's class counts
+        s = make_semigroup(gens)
+        engine = TauEngine(s)
+        gbs = sorted(canonical_ideal_gens(s, window, 3)
+                     + [make_ideal(s, g).min_gens for g in extra], key=len)
+        spread = max(g[-1] - g[0] for g in gbs)
+        packed = engine.pack(gbs, spread)
+        assert (packed.stride > 248) == (gens == (11, 29)), packed.stride
+        expected = {}
+        for ga in gbs:
+            for gb in gbs:
+                a, b = make_ideal(s, ga), make_ideal(s, gb)
+                profile = torsion_profile(a, b)
+                expected[ga, gb] = profile.total, profile.support_size
+                assert engine.component_counts(ga, gb) == fiber_class_count(
+                    a, b, *scan_window(a, b)), (ga, gb)
+        assert any(tau for tau, _ in expected.values())
+        for p, ga in enumerate(gbs):
+            for k in range(p, len(gbs) + 1):
+                found = engine.tau_support_batch(ga, packed.suffix(k))
+                assert list(zip(*found)) == [
+                    expected[ga, gb] for gb in gbs[k:]], (ga, k)
+                assert found == engine.tau_support_batch(
+                    ga, engine.pack(gbs[k:], spread)), (ga, k)
 
     def test_campaign_pack_counts(self, monkeypatch):
         # half-mu packs each semigroup's ideals once; oracle-compare
@@ -428,10 +483,11 @@ class TestRunSearch:
         # each lane's top degree must be flagged
         true_reps = TauEngine._reps
 
-        def top_dropped(self, ga, rows, keep):
-            # component_counts asks for one lane, so `keep`'s top bit is it
-            return [rep & ~((keep + 1) >> 1)
-                    for rep in true_reps(self, ga, rows, keep)]
+        def top_dropped(self, ga, *args):
+            # component_counts asks for one lane, so the top bit of `keep`,
+            # the last argument, is it
+            return [rep & ~((args[-1] + 1) >> 1)
+                    for rep in true_reps(self, ga, *args)]
 
         monkeypatch.setattr(TauEngine, "_reps", top_dropped)
         out = tmp_path / "oracle.jsonl"

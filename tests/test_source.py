@@ -268,6 +268,30 @@ def test_engine_counts_lanes_once():
     assert len(calls) == 1, calls
 
 
+def test_engine_reads_difference_table():
+    # a suffix passes the batch's rows and table on as they are, and _reps
+    # reads the rows, and shifts left, only to fill a missing table entry:
+    # a call builds no edge int per (generator, row), only one shift and
+    # one mask per pair of left generators
+    path = SRC / "torsion.py"
+    methods = {f"{cls.name}.{node.name}": node
+               for cls in ast.parse(path.read_text(), str(path)).body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    suffix, reps = methods["Batch.suffix"], methods["TauEngine._reps"]
+    assert not [node for node in ast.walk(suffix) if isinstance(
+        node, (ast.comprehension, ast.For, ast.While, ast.Lambda))]
+    filled = {id(node) for branch in ast.walk(reps)
+              if isinstance(branch, ast.If) for stmt in branch.body
+              for node in ast.walk(stmt)}
+    loose = [node for node in ast.walk(reps) if id(node) not in filled and (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+        or isinstance(node, ast.Name) and node.id == "rows")]
+    assert not loose, [ast.unparse(node) for node in loose]
+    assert any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+               for node in ast.walk(reps)), "the table fill moved"
+
+
 def test_cli_answers_run_their_checks():
     # a CLI answer with an independent route computes that route too, and
     # `dual` every route to the dual

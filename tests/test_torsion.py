@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semitorsion.torsion as torsion
-from conftest import naive_betti_1, naive_fiber_classes
+from conftest import naive_betti_1, naive_component_reps, naive_fiber_classes
 from semitorsion import (CofiniteSet, SemigroupMismatchError, TauEngine,
                          TorsionProfile, canonical_ideal_gens, coprime_pairs,
                          fiber_class_count, fiber_graph,
@@ -40,6 +40,25 @@ def naive_window(a, b, lo, hi):
     return [naive_fiber_classes(list(a.semigroup.generators),
                                 list(a.min_gens), list(b.min_gens), z)
             for z in range(lo, hi + 1)]
+
+
+@st.composite
+def reach_matrices(draw):
+    """A symmetric reach matrix: up to 6 left vertices over up to 200
+    graphs, some vertices absent from every graph, a pair joined only in
+    graphs where both are present."""
+    n, bits = draw(st.integers(0, 6)), draw(st.integers(1, 200))
+    word = st.integers(0, (1 << bits) - 1)
+    present = [draw(st.one_of(st.just(0), word)) for _ in range(n)]
+    reach = [[0] * n for _ in range(n)]
+    for i in range(n):
+        reach[i][i] = present[i]
+        for k in range(i):
+            join = draw(word)
+            if draw(st.booleans()):  # sparser, to split graphs into parts
+                join &= draw(word)
+            reach[i][k] = reach[k][i] = join & present[i] & present[k]
+    return reach
 
 
 @pytest.fixture
@@ -145,6 +164,37 @@ class TestFiberComponentCounts:
         assert counts == engine.component_counts(b.min_gens, a.min_gens)
         assert counts == fiber_class_count(a, b, *scan_window(a, b))
         assert max(counts) == min(a.mu, b.mu)
+
+
+class TestComponentReps:
+    @given(reach_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_union_find(self, reach):
+        expected = naive_component_reps(reach)
+        assert torsion._component_reps([row[:] for row in reach]) == expected
+
+    def test_path_through_highest_vertex(self):
+        # in graph 0, vertices 1 and 2 reach 0 only through 3, the highest
+        # vertex, so a closure that skips it as an intermediate splits
+        # them; in graph 1, vertex 3 is absent and 0, 1, 2 stand alone
+        reach = [[0b11, 0, 0, 0b01], [0, 0b11, 0, 0b01], [0, 0, 0b11, 0b01],
+                 [0b01, 0b01, 0b01, 0b01]]
+        assert naive_component_reps(reach) == [0b11, 0b10, 0b10, 0]
+        assert torsion._component_reps(reach) == [0b11, 0b10, 0b10, 0]
+
+    def test_every_graph_on_five_vertices(self):
+        # graph x has edge e when bit e of x is set, so the bits hold all
+        # 1,024 graphs; a closure that sets a pair but not its mirror
+        # first goes wrong on five vertices
+        pairs = [(i, k) for i in range(5) for k in range(i)]
+        graphs = 1 << len(pairs)
+        reach = [[(1 << graphs) - 1 if i == k else 0 for k in range(5)]
+                 for i in range(5)]
+        for e, (i, k) in enumerate(pairs):
+            reach[i][k] = reach[k][i] = sum(
+                1 << x for x in range(graphs) if x >> e & 1)
+        expected = naive_component_reps(reach)
+        assert torsion._component_reps(reach) == expected
 
 
 class TestTauAt:
