@@ -11,9 +11,10 @@ packed into one Python int per generator pair, and the component
 counter `_component_reps` runs on all of them at once. `oracle-compare`
 checks the engine's component counts of each sampled pair, over its
 scan window, against the flood fill of `fiber_class_count`.
-The half-mu sweep packs a semigroup's ideals once, in mu order, and
-calls the engine once per ideal, on it and every ideal after it, since
-tau and the support are symmetric. Every mode is a runner in
+The half-mu sweep calls the engine once per ideal of a semigroup, in mu
+order, on it and every ideal after it, since tau and the support are
+symmetric; each call's ideals are a suffix of the first call's, so the
+engine packs them once. Every mode is a runner in
 `_MODE_RUNNERS`, called as `runner(spec, *task)` per task: a pair
 (a, b), or for `oracle-compare`, whose samples share one random stream,
 the one empty task. It writes its own fixed-schema f-string next to the
@@ -98,6 +99,10 @@ class SearchSpec(SimpleNamespace):  # `search` takes its defaults from here
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, "
                                  f"got {value}")
+        if output_path is not None:  # a bad path fails before the campaign
+            output_path = os.fsdecode(output_path)
+            if not output_path:
+                raise ValueError("output_path (--out) must not be empty")
         super().__init__(mode=mode, ab_max=ab_max, gen_window=gen_window,
                          mu_max=mu_max, output_path=output_path,
                          parallelism=parallelism, seed=seed, samples=samples)
@@ -161,15 +166,13 @@ def _half_mu_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
                                                  spec.mu_max) if len(g) >= 2]
     if not canonical:
         return
-    ideals = sorted(canonical, key=len)
+    ideals = tuple(sorted(canonical, key=len))  # suffixes reuse one packing
     mus = [len(g) for g in ideals]
-    # every canonical tuple starts at 0, so its last entry is its spread
-    batch = engine.pack(ideals, max(g[-1] for g in ideals))
     taus: list[list[int]] = []  # the rows of the tau and support tables
     supports: list[list[int]] = []
     row_stats, bound_ok = [], True  # bound_ok: no row minimum is negative
     for p, ga in enumerate(ideals):
-        ts, cs = engine.tau_support_batch(ga, batch.suffix(p))
+        ts, cs = engine.tau_support_batch(ga, ideals[p:])
         taus.append([row[p] for row in taus] + ts)
         supports.append([row[p] for row in supports] + cs)
         mms = [mus[p] * mb for mb in mus[p:]]

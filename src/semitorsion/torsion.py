@@ -6,31 +6,32 @@ bipartite graph on the minimal generators of A and B. The torsion
 number at z is one less than the component count (floored at 0), and
 the total over all z is the torsion number of the pair.
 
-One engine computes them. `TauEngine.pack` lays right-hand tuples out as
-a `Batch` of byte-aligned lanes over every degree, with a table of one
-int per generator difference. `_reps` reads the shared right neighbours
-of each pair of left-hand generators off it with one shift and runs the
-bit-parallel component counter `_component_reps` on every lane at once.
-`Batch.suffix` moves an offset over the same rows and table, so a
-campaign packs a semigroup's ideals once and calls the engine once per
-ideal. A short tuple repeats its last generator, which is exact: the
-copied right vertex has the neighbours of the original. One count reads
-the extra reps and their union: one multiply sums the byte popcounts of
-all lanes up to 248 bits (8k < 256 for k bytes); wider lanes, such as
-the 368-bit ones of <11,29>, count one by one. `component_counts` builds
-one lane over a scan window and sums its reps as byte digits;
+One engine computes them. `TauEngine.tau_support_batch` lays right-hand
+tuples out as byte-aligned lanes over every degree, with a table of one
+int per generator difference, and keeps that packing: a later call on a
+suffix of the same tuples reads the same rows and table from an offset,
+so a campaign's calls on a semigroup's ideals pack them once. `_reps`
+reads the shared right neighbours of each pair of left-hand generators
+off the table with one shift and runs the bit-parallel component counter
+`_component_reps` on every lane at once. A short tuple repeats its last
+generator, which is exact: the copied right vertex has the neighbours of
+the original. One count reads the extra reps and their union: one
+multiply sums the byte popcounts of all lanes up to 248 bits (8k < 256
+for k bytes); wider lanes, such as the 368-bit ones of <11,29>, count
+one by one. `component_counts` builds one lane over a scan window and
+sums its reps as byte digits;
 `fiber_graph` states the edge rule for one degree. The independent
 reference uses neither the engine's ints nor the counter: a bit flood
 fill of the fibers by generator steps, one lane per degree, the lanes
 built by doubling shifts, `fiber_class_count` over a window and
-`torsion_profile` over the scan window. The records are `NamedTuple`s
-and `Batch` a frozen plain class, free of `dataclasses`; a
-`TorsionProfile` holds only its window and its degrees.
+`torsion_profile` over the scan window. The records are `NamedTuple`s,
+free of `dataclasses`; a `TorsionProfile` holds only its window and its
+degrees.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from functools import reduce
 from itertools import accumulate
 from operator import add, and_, index, lt, or_
@@ -63,39 +64,17 @@ def _component_reps(reach: list[list[int]]) -> list[int]:
     return [row[i] & ~reduce(or_, row[:i], 0) for i, row in enumerate(reach)]
 
 
-class Batch:
-    """Generator tuples as lanes, from `TauEngine.pack`: row j holds
-    generator j of each tuple, lane 0 from bit `offset` on, `keep` is the
-    lane mask from bit 0, and `table` is `_reps`' difference ints."""
-
-    __slots__ = ("semigroup", "gbs", "spread", "stride", "keep", "rows",
-                 "offset", "table")
-
-    def __init__(self, *fields: object) -> None:  # in __slots__ order
-        for name, value in zip(Batch.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Batch")
-
-    def __len__(self) -> int:
-        return len(self.gbs)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.gbs)
-
-    def suffix(self, p: int) -> Batch:
-        """The batch of gbs[p:]: its rows and table from p lanes up."""
-        shift = p * self.stride
-        return Batch(self.semigroup, self.gbs[p:], self.spread, self.stride,
-                     self.keep >> shift, self.rows, self.offset + shift,
-                     self.table)
-
-
-def _check_ascending(*tuples: Sequence[int]) -> None:
+def _check_ascending(*tuples: Sequence[int]) -> list[tuple[int, ...]]:
+    """The tuples as plain ints, each non-empty and strictly ascending."""
+    out = []
     for gens in tuples:
+        gens = tuple(map(index, gens))
+        if not gens:
+            raise ValueError("a generator tuple must not be empty")
         if not all(map(lt, gens, gens[1:])):
-            raise ValueError(f"{tuple(gens)} is not strictly ascending")
+            raise ValueError(f"{gens} is not strictly ascending")
+        out.append(gens)
+    return out
 
 
 class TauEngine:
@@ -104,25 +83,26 @@ class TauEngine:
     def __init__(self, s: NumericalSemigroup):
         self.s = s
         self.f = s.frobenius
+        # the last `_pack`: tuples, spread, stride, lane mask, rows, table
+        self._packed: tuple = ((), -1)  # none yet: any ga packs
 
-    def pack(self, gbs: Sequence[tuple[int, ...]], spread: int) -> Batch:
+    def _pack(self, gbs: tuple[tuple[int, ...], ...], spread: int) -> tuple:
         """The tuples gbs as lanes, for any ga with ga[-1] - ga[0] <= spread.
 
         Bit w of a lane stands for degree ga[0] + min gb[0] + w, up to the
         top of every pair's scan window; the extra fibers of a pair with
         a smaller spread carry no torsion. A lane's stride, a whole number
         of bytes, leaves room for the shift by ga; lane 0 starts at bit
-        `spread`, so that `_reps` shifts right only.
+        `spread`, so that `_reps` shifts right only. Row j holds generator
+        j of each tuple; the lane mask starts at bit 0.
         """
-        _check_ascending(*gbs)
-        base = min((gb[0] for gb in gbs), default=0)
-        top = max((gb[-1] for gb in gbs), default=0)
-        width = self.f + spread + top - base + 1
+        base = min(gb[0] for gb in gbs)
+        width = self.f + spread + max(gb[-1] for gb in gbs) - base + 1
         size = (width + spread + 8) // 8  # bytes per lane
         member, lane = self.s.window(0, width), (1 << width) - 1
         chunks: dict[int, bytes] = {}
         rows = []
-        for j in range(max(map(len, gbs), default=0)):
+        for j in range(max(map(len, gbs))):
             column = []
             for gb in gbs:
                 g = gb[j] if j < len(gb) else gb[-1]  # pad with a copy
@@ -132,9 +112,8 @@ class TauEngine:
                         size, "little")
                 column.append(chunks[g])
             rows.append(int.from_bytes(b"".join(column), "little") << spread)
-        return Batch(self.s, tuple(gbs), spread, 8 * size, int.from_bytes(
-            lane.to_bytes(size, "little") * len(gbs), "little"), tuple(rows),
-            spread, {})
+        return gbs, spread, 8 * size, int.from_bytes(
+            lane.to_bytes(size, "little") * len(gbs), "little"), rows, {}
 
     def _reps(self, ga: tuple[int, ...], rows: Sequence[int],
               table: dict[int, int], offset: int, keep: int) -> list[int]:
@@ -152,17 +131,29 @@ class TauEngine:
         return _component_reps(reach)
 
     def tau_support_batch(self, ga: tuple[int, ...],
-                          batch: Batch) -> tuple[list[int], list[int]]:
-        """(tau totals, support sizes) of (ga, gb) for each gb of `batch`,
-        which `pack` laid out over this semigroup for ga's spread or more.
-        One lane count reads the support and each extra rep, end to end."""
-        _check_ascending(ga)
-        if batch.semigroup != self.s or ga[-1] - ga[0] > batch.spread:
-            raise ValueError(f"batch not packed over {self.s.generators} "
-                             f"for a spread of {ga[-1] - ga[0]}")
-        lanes, stride = len(batch), batch.stride
-        reps = self._reps(ga, batch.rows, batch.table, batch.offset,
-                          batch.keep)
+                          gbs: Sequence[tuple[int, ...]]) -> tuple[
+                              list[int], list[int]]:
+        """(tau totals, support sizes) of (ga, gb) for each gb of gbs.
+
+        When gbs are the packed tuples from some p on, and ga's spread fits
+        the packed spread, the call reads the packed rows and table from
+        lane p up; any other call packs gbs for the larger of ga's spread
+        and the widest gb's. One lane count reads the support and each
+        extra rep, end to end.
+        """
+        (ga,), gbs = _check_ascending(ga), tuple(gbs)
+        if not gbs:
+            return [], []
+        packed, spread = self._packed, ga[-1] - ga[0]
+        p = len(packed[0]) - len(gbs)
+        if p < 0 or spread > packed[1] or packed[0][p:] != gbs:
+            gbs = tuple(_check_ascending(*gbs))
+            packed = self._packed = self._pack(gbs, max(
+                spread, *(gb[-1] - gb[0] for gb in gbs)))
+            p = 0
+        _, offset, stride, keep, rows, table = packed  # lane 0 at bit offset
+        lanes, shift = len(gbs), p * stride
+        reps = self._reps(ga, rows, table, offset + shift, keep >> shift)
         stacked = multi = 0  # multi: the degrees with more than one component
         # a rep past the first component at its degree adds one to tau
         for e in map(and_, reps[1:], accumulate(reps, or_)):
@@ -177,7 +168,7 @@ class TauEngine:
     def component_counts(self, ga: tuple[int, ...],
                          gb: tuple[int, ...]) -> list[int]:
         """Fiber graph component counts of (ga, gb) over its scan window."""
-        _check_ascending(ga, gb)
+        ga, gb = _check_ascending(ga, gb)
         ga, gb = (gb, ga) if len(gb) < len(ga) else (ga, gb)  # symmetric
         spread = ga[-1] - ga[0]
         width = self.f + spread + gb[-1] - gb[0] + 1
@@ -194,6 +185,7 @@ class TauEngine:
     def profile(self, ga: tuple[int, ...],
                 gb: tuple[int, ...]) -> TorsionProfile:
         """Per-degree torsion numbers of (ga, gb) over its scan window."""
+        ga, gb = _check_ascending(ga, gb)
         lo, hi = ga[0] + gb[0], self.f + ga[-1] + gb[-1]
         by_z = {z: count - 1 for z, count in
                 enumerate(self.component_counts(ga, gb), lo) if count > 1}

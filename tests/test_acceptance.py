@@ -140,8 +140,7 @@ def test_criterion_7_1_and_7_6_tau_bounds_symmetry(exhaustive_ideals):
         cache = {}
         for ga in nonprin:
             for mb, group in sorted(by_mu.items()):
-                taus, supports = engine.tau_support_batch(
-                    ga, engine.pack(group, ga[-1] - ga[0]))
+                taus, supports = engine.tau_support_batch(ga, group)
                 for gb, t, c in zip(group, taus, supports):
                     t, c = int(t), int(c)
                     mm = len(ga) * mb

@@ -313,6 +313,17 @@ class TestSearch:
         assert err.count("\n") == 1 and "No such file" in err
         assert f"'{target}'" in err and ".part" not in err
 
+    def test_empty_out(self, capsys, monkeypatch, tmp_path):
+        # an empty path is refused before the campaign runs, not taken
+        # as no output
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "search", "--mode", "hw", "--ab-max",
+                             "15", "--out", "")
+        assert code == 1 and out == ""
+        assert err == ("semitorsion: error: output_path (--out) must not "
+                       "be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_is_a_directory(self, capsys, tmp_path):
         # the rename fails after the last record: the part file goes and
         # the message names the directory

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from semitorsion import (SearchSpec, TauEngine, boundary_cycle, fiber_graph,
+from semitorsion import (SearchSpec, boundary_cycle, fiber_graph,
                          hw_check_semigroup, irreducible_triples,
                          make_ideal, make_semigroup, ordered_generators,
                          run_search, torsion_profile)
@@ -73,16 +73,6 @@ class TestFrozenRecords:
         assert repr(make()) == field_repr(make(), fields)
 
 
-def test_batch_is_frozen_and_iterates_its_tuples():
-    # bench/spans.py reads len() of a batch and iterates its tuples
-    batch = TauEngine(S57).pack([(0, 3), (0, 1)], 6)
-    for f in ("semigroup", "gbs", "spread", "stride", "keep", "rows"):
-        with pytest.raises(AttributeError):
-            setattr(batch, f, getattr(batch, f))
-    assert len(batch) == 2 and list(batch) == [(0, 3), (0, 1)]
-    assert list(batch.suffix(1)) == [(0, 1)]
-
-
 class TestSearchRecords:
     def test_spec_fields_and_equality(self):
         spec = SearchSpec(mode="hw")
@@ -106,6 +96,24 @@ class TestSearchRecords:
     def test_spec_checks_itself_when_built(self, kwargs):
         with pytest.raises(ValueError):
             SearchSpec(**kwargs)
+
+    def test_spec_takes_its_output_path_as_a_path(self, monkeypatch,
+                                                  tmp_path):
+        # an output path that is not one fails when the spec is built, so
+        # no campaign runs and no part file is left; a path-like or bytes
+        # path is kept as its str
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError):
+            run_search(SearchSpec(mode="hw", ab_max=20, output_path=5))
+        with pytest.raises(ValueError, match="must not be empty"):
+            SearchSpec(mode="hw", output_path="")
+        assert list(tmp_path.iterdir()) == []
+        target = tmp_path / "hw.jsonl"
+        for path in (target, bytes(target)):
+            spec = SearchSpec(mode="hw", ab_max=20, output_path=path)
+            assert spec.output_path == str(target)
+        assert run_search(spec).records == 7
+        assert len(target.read_text().splitlines()) == 7
 
     def test_summary_fields_and_equality(self):
         summary = run_search(SearchSpec(mode="hw", ab_max=20))

@@ -101,9 +101,9 @@ class CountingEngine(TauEngine):
 
     packs = 0
 
-    def pack(self, gbs, spread):
+    def _pack(self, gbs, spread):
         self.packs += 1
-        return super().pack(gbs, spread)
+        return super()._pack(gbs, spread)
 
 
 class TestTauEngine:
@@ -118,58 +118,59 @@ class TestTauEngine:
         for gb in gbs:
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
             expected.append((profile.total, profile.support_size))
-        engine = TauEngine(s)
         # mixed lengths, shorter tuples padded, in lanes wide enough for
-        # ga and for every gb as a left side
-        spread = max(g[-1] - g[0] for g in [ga, *gbs])
-        packed = engine.pack(gbs, spread)
+        # ga and for every gb as a left side: the full call packs them,
+        # and every suffix after it reads the same lanes
+        engine = CountingEngine(s)
         for k in range(len(gbs) + 1):
-            suffix = packed.suffix(k)
-            assert list(suffix) == gbs[k:] and len(suffix) == len(gbs) - k
-            taus = engine.tau_support_batch(ga, suffix)
+            taus = engine.tau_support_batch(ga, gbs[k:])
             assert list(zip(*taus)) == expected[k:], k
-            assert taus == engine.tau_support_batch(
-                ga, engine.pack(gbs[k:], spread)), k
-        assert list(zip(*engine.tau_support_batch(
-            ga, engine.pack(gbs[::2], spread)))) == expected[::2]
+            assert taus == TauEngine(s).tau_support_batch(ga, gbs[k:]), k
+        assert engine.packs == 1
+        assert list(zip(*engine.tau_support_batch(ga, gbs[::2]))) == \
+            expected[::2]
 
-    def test_misuse_raises(self):
-        # a batch serves its own semigroup, and any ga up to its spread;
-        # anything else raises instead of packing again
+    def test_calls_off_the_packing_match_a_fresh_engine(self):
+        # after a packing, a ga wider than its spread, tuples that are
+        # not a suffix of it, and no tuples at all: each call gets the
+        # answer of a fresh engine and the flood fill, and the first two
+        # pack again
         s = make_semigroup([3, 4])
-        ga, gbs = (1, 6), [(0, 1), (-6, -4)]
-        engine = TauEngine(s)
-        foreign = TauEngine(make_semigroup([3, 5])).pack(gbs, 5)
-        with pytest.raises(ValueError, match="not packed over"):
-            engine.tau_support_batch(ga, foreign)
-        # lanes packed for a spread of 0 are too narrow for ga = (1, 6):
-        # its shift would reach the next lane
-        with pytest.raises(ValueError, match="spread of 5"):
-            engine.tau_support_batch(ga, engine.pack(gbs, 0))
-        # an equal semigroup packs the same lanes
-        same = TauEngine(semigroup.NumericalSemigroup([4, 3])).pack(gbs, 5)
-        assert engine.tau_support_batch(ga, same) == \
-            engine.tau_support_batch(ga, engine.pack(gbs, 5))
+        gbs = [(0, 1), (-6, -4), (2, 3)]
+        engine = CountingEngine(s)
+        engine.tau_support_batch((0, 1), gbs)  # lanes for a spread of 2
+        for ga, group in (((1, 6), gbs), ((0, 1), [(-6, -4), (0, 1)]),
+                          ((1, 6), [])):
+            found = engine.tau_support_batch(ga, group)
+            assert found == TauEngine(s).tau_support_batch(ga, group), group
+            assert list(zip(*found)) == [
+                (p.total, p.support_size) for p in
+                (torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
+                 for gb in group)], group
+        assert engine.packs == 3
 
     @pytest.mark.parametrize("call", [
-        lambda e, bad: e.tau_support_batch(bad, e.pack([(0, 9), (0, 1)], 1)),
-        lambda e, bad: e.pack([(0, 1), bad], 7),
+        lambda e, bad: e.tau_support_batch(bad, [(0, 9), (0, 1)]),
+        lambda e, bad: e.tau_support_batch((0, 1), [(0, 1), bad]),
         lambda e, bad: e.component_counts((0, 1), bad),
         lambda e, bad: e.profile(bad, (0, 1)),
     ], ids=["tau_support_batch", "pack", "component_counts", "profile"])
     def test_unsorted_tuple_raises(self, call):
-        # (8, 15, 9) understates its spread as 1, so over a batch packed
-        # for that its shifted edges would spill into the next lane: its
-        # tau against (0, 1) would read 20, where (8, 9, 15) gives 21
+        # (8, 15, 9) would understate its spread as 1, the room its
+        # shifts need in a lane; () has no generator to anchor a lane.
+        # Integers come in through operator.index, as plain ints
         engine = TauEngine(make_semigroup([5, 12]))
         gbs = [(0, 9), (0, 1), (2, 15), (3, 6, 14)]
-        assert engine.tau_support_batch((8, 9, 15), engine.pack(gbs, 7))[
-            0] == [13, 21, 11, 18]
+        assert engine.tau_support_batch((8, 9, 15), gbs)[0] == [13, 21, 11, 18]
         with pytest.raises(ValueError,
                            match=r"^\(8, 15, 9\) is not strictly ascending$"):
             call(engine, (8, 15, 9))
         with pytest.raises(ValueError, match=r"^\(0, 0\) is not strictly"):
             call(engine, (0, 0))
+        with pytest.raises(ValueError, match="must not be empty"):
+            call(engine, ())
+        assert call(engine, tuple(map(Index, (8, 9, 15)))) == \
+            call(TauEngine(make_semigroup([5, 12])), (8, 9, 15))
 
     @pytest.mark.parametrize("gens,window,extra", [
         ((5, 7), 8, [(-6, -4), (-3, 2, 6)]),  # 248-bit lanes
@@ -177,17 +178,14 @@ class TestTauEngine:
     ], ids=["5-7", "11-29"])
     def test_one_table_serves_every_call(self, gens, window, extra):
         # as in half-mu, the left tuples run in ascending mu, ideal p on
-        # suffix(p) first, so a longer tuple adds its differences to the
-        # table at a suffix's offset; every suffix on from p must equal a
-        # fresh packing and the flood fill, and the one-lane
-        # component_counts of each pair the fill's class counts
+        # the tuples from p on first, so a longer tuple adds its
+        # differences to the table at a suffix's offset; every suffix on
+        # from p must equal a fresh engine and the flood fill, and the
+        # one-lane component_counts of each pair the fill's class counts
         s = make_semigroup(gens)
-        engine = TauEngine(s)
+        engine = CountingEngine(s)
         gbs = sorted(canonical_ideal_gens(s, window, 3)
                      + [make_ideal(s, g).min_gens for g in extra], key=len)
-        spread = max(g[-1] - g[0] for g in gbs)
-        packed = engine.pack(gbs, spread)
-        assert (packed.stride > 248) == (gens == (11, 29)), packed.stride
         expected = {}
         for ga in gbs:
             for gb in gbs:
@@ -199,11 +197,14 @@ class TestTauEngine:
         assert any(tau for tau, _ in expected.values())
         for p, ga in enumerate(gbs):
             for k in range(p, len(gbs) + 1):
-                found = engine.tau_support_batch(ga, packed.suffix(k))
+                found = engine.tau_support_batch(ga, gbs[k:])
                 assert list(zip(*found)) == [
                     expected[ga, gb] for gb in gbs[k:]], (ga, k)
-                assert found == engine.tau_support_batch(
-                    ga, engine.pack(gbs[k:], spread)), (ga, k)
+                assert found == TauEngine(s).tau_support_batch(
+                    ga, gbs[k:]), (ga, k)
+        stride = engine._packed[2]
+        assert (stride > 248) == (gens == (11, 29)), stride
+        assert engine.packs == 1
 
     def test_campaign_pack_counts(self, monkeypatch):
         # half-mu packs each semigroup's ideals once; oracle-compare
@@ -243,8 +244,7 @@ class TestTauEngine:
         # the second batch has different first generators and spreads,
         # so each lane's fibers sit at their own offset in the window
         for group in ([(0, 1), (0, 2), (0, 11)], [(-2, 1), (0, 3), (5, 6)]):
-            taus, supports = engine.tau_support_batch(
-                (0, 1, 3), engine.pack(group, 3))
+            taus, supports = engine.tau_support_batch((0, 1, 3), group)
             for gb, t, c in zip(group, taus, supports):
                 single = engine.profile((0, 1, 3), gb)
                 assert (t, c) == (single.total, single.support_size), gb
@@ -261,8 +261,7 @@ class TestTauEngine:
         engine = TauEngine(s)
         ga = tuple(range(mu_a))
         group = [tuple(range(mu_b)), tuple(range(a - mu_b, a))]
-        taus, supports = engine.tau_support_batch(
-            ga, engine.pack(group, ga[-1] - ga[0]))
+        taus, supports = engine.tau_support_batch(ga, group)
         for gb, t, c in zip(group, taus, supports):
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
             assert (int(t), int(c)) == (profile.total, profile.support_size), gb
@@ -285,13 +284,15 @@ class TestTauEngine:
         s = make_semigroup([11, 29])
         engine = TauEngine(s)
         ga, gbs = (0, 12, 35), canonical_ideal_gens(s, 11, 3)
-        packed = engine.pack(gbs, ga[-1] - ga[0])
-        assert packed.stride == 368
         expected = []
         for gb in gbs:
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
             expected.append((profile.total, profile.support_size))
-        assert list(zip(*engine.tau_support_batch(ga, packed))) == expected
+        for k in range(len(gbs) + 1):
+            found = engine.tau_support_batch(ga, gbs[k:])
+            assert engine._packed[2] == 368  # the packing's stride
+            assert list(zip(*found)) == expected[k:], k
+            assert found == TauEngine(s).tau_support_batch(ga, gbs[k:]), k
 
     @pytest.mark.parametrize("gens", [(5, 7), (11, 29)])
     @pytest.mark.parametrize("ga", [(0,), (0, 1), (0, 1, 2, 3)])
@@ -302,25 +303,26 @@ class TestTauEngine:
         s = make_semigroup(gens)
         engine = TauEngine(s)
         gbs = canonical_ideal_gens(s, 8, 3)
-        packed = engine.pack(gbs, ga[-1] - ga[0])
-        assert (packed.stride > 248) == (gens == (11, 29)), packed.stride
         expected = []
         for gb in gbs:
             profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
             expected.append((profile.total, profile.support_size))
         assert any(tau for tau, _ in expected) == (len(ga) > 1), expected
         for k in range(len(gbs) + 1):
-            assert list(zip(*engine.tau_support_batch(
-                ga, packed.suffix(k)))) == expected[k:], k
+            found = engine.tau_support_batch(ga, gbs[k:])
+            assert list(zip(*found)) == expected[k:], k
+            assert found == TauEngine(s).tau_support_batch(ga, gbs[k:]), k
+        stride = engine._packed[2]  # the packing's
+        assert (stride > 248) == (gens == (11, 29)), stride
 
     def test_empty_batch(self):
-        # an empty packing, and a suffix past the last lane, count nothing
-        engine = TauEngine(make_semigroup([2, 3]))
-        empty = engine.pack([], 1)
-        assert len(empty) == 0 and list(empty) == []
-        assert engine.tau_support_batch((0, 1), empty) == ([], [])
-        packed = engine.pack([(0,), (0, 1)], 1)
-        assert engine.tau_support_batch((0, 1), packed.suffix(2)) == ([], [])
+        # no tuples, before a packing and past its last lane, count nothing
+        engine = CountingEngine(make_semigroup([2, 3]))
+        assert engine.tau_support_batch((0, 1), []) == ([], [])
+        gbs = ((0,), (0, 1))
+        assert engine.tau_support_batch((0, 1), gbs) == ([0, 2], [0, 2])
+        assert engine.tau_support_batch((0, 1), gbs[2:]) == ([], [])
+        assert engine.packs == 1
 
     def test_non_canonical_tuples(self):
         s = make_semigroup([5, 7])

@@ -222,7 +222,7 @@ def test_one_fiber_edge_builder():
 def test_oracle_names_no_engine_code():
     # the flood fill stays independent of the engine it checks: its lanes
     # index degrees and its bits nodes, the engine's tuples and degrees
-    engine = {"TauEngine", "pack", "Batch", "_reps", "_lane_counts",
+    engine = {"TauEngine", "_pack", "_reps", "_lane_counts",
               "_component_reps"}
     path = SRC / "torsion.py"
     found = {}
@@ -269,18 +269,25 @@ def test_engine_counts_lanes_once():
 
 
 def test_engine_reads_difference_table():
-    # a suffix passes the batch's rows and table on as they are, and _reps
-    # reads the rows, and shifts left, only to fill a missing table entry:
-    # a call builds no edge int per (generator, row), only one shift and
-    # one mask per pair of left generators
+    # a reused packing passes its rows and table to _reps as they are, and
+    # _reps reads the rows, and shifts left, only to fill a missing table
+    # entry: a call builds no edge int per (generator, row), only one
+    # shift and one mask per pair of left generators
     path = SRC / "torsion.py"
     methods = {f"{cls.name}.{node.name}": node
                for cls in ast.parse(path.read_text(), str(path)).body
                if isinstance(cls, ast.ClassDef) for node in cls.body
                if isinstance(node, ast.FunctionDef)}
-    suffix, reps = methods["Batch.suffix"], methods["TauEngine._reps"]
-    assert not [node for node in ast.walk(suffix) if isinstance(
-        node, (ast.comprehension, ast.For, ast.While, ast.Lambda))]
+    batch, reps = (methods["TauEngine.tau_support_batch"],
+                   methods["TauEngine._reps"])
+    passed = {id(arg) for call in ast.walk(batch) if isinstance(
+        call, ast.Call) and ast.unparse(call.func) == "self._reps"
+        for arg in call.args}
+    read = [node for node in ast.walk(batch) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id in ("rows", "table")]
+    assert len(read) == 2 and all(id(node) in passed for node in read), [
+        ast.unparse(node) for node in read]
     filled = {id(node) for branch in ast.walk(reps)
               if isinstance(branch, ast.If) for stmt in branch.body
               for node in ast.walk(stmt)}
@@ -309,7 +316,9 @@ def test_bench_hooks_bind():
     # engine's arguments; a refactor that renames, aliases or unbinds
     # one, or changes what the engine is called with, must fail here,
     # not only in the benchmark. Each layer is counted over one campaign,
-    # and the set algebra over the dual route that bench/check.py uses.
+    # and the set algebra over the dual route that bench/check.py uses;
+    # the engine's work (fibers) over half-mu is each call's suffix
+    # length times the window from 0 to F + ga[-1] + max gb[-1].
     root = SRC.parents[1]
     campaigns = [  # search arguments after --ab-max 20, layers to enter
         [["--mode", "half-mu-bound", "--mu-max", "3"], ["search.engine"]],
@@ -328,8 +337,8 @@ def test_bench_hooks_bind():
             "    before = tracer.summary()\n"
             "    out = run()\n"
             "    after = tracer.summary()\n"
-            "    print(json.dumps([out] + [after[k]['calls'] - "
-            "before[k]['calls'] for k in layers]))\n"
+            "    print(json.dumps([out] + [[after[k][key] - before[k][key] "
+            "for k in layers] for key in ('calls', 'work')]))\n"
             "for args, layers in json.loads(sys.argv[3]):\n"
             "    count(lambda: semitorsion.cli.main(['search', '--ab-max', "
             "'20', *args]), layers)\n"
@@ -342,12 +351,21 @@ def test_bench_hooks_bind():
     found = [json.loads(line) for line in done.stdout.splitlines()
              if line.startswith("[")]
     assert len(found) == len(campaigns) + 1, done.stdout
-    for (args, layers), (code, *calls) in zip(campaigns, found):
+    for (args, layers), (code, calls, _) in zip(campaigns, found):
         assert code == 0, args
         assert all(c > 0 for c in calls), (args, dict(zip(layers, calls)))
+    fibers = 0
+    for a, b in semitorsion.search.coprime_pairs(20):
+        s = semitorsion.make_semigroup((a, b))
+        ideals = sorted([g for g in semitorsion.canonical_ideal_gens(
+            s, a + b, 3) if len(g) >= 2], key=len)
+        for p, ga in enumerate(ideals):
+            fibers += (len(ideals) - p) * (s.frobenius + ga[-1] + max(
+                gb[-1] for gb in ideals[p:]) + 1)
+    assert found[0][2] == [fibers] and fibers > 0, (found[0], fibers)
     # one scan per gap: <2,3>, <2,5>, <2,7>, <2,9>, <3,4>, <3,5>, <4,5>
     # have genera 1 + 2 + 3 + 4 + 3 + 4 + 6
-    assert found[2][1:] == [23], found[2]
-    count, sumsets, differences = found[-1]
+    assert found[2][1] == [23], found[2]
+    count, (sumsets, differences), _ = found[-1]
     assert count == 12 and sumsets > 0 and differences > 0, found[-1]
     assert semitorsion.search.TauEngine is semitorsion.torsion.TauEngine
