@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 
 from .cofinite import bit_positions
 from .hypersurface import dual_formula, dual_symmetric
@@ -65,13 +66,15 @@ def cmd_tau(args) -> int:
     if args.dot is not None:
         print(graph_to_dot(fiber_graph(a, b, args.dot)))
         return 0
-    profile = TauEngine(s).profile(a.min_gens, b.min_gens)
-    fill = torsion_profile(a, b)  # the independent route
-    if profile.tau_by_z != fill.tau_by_z:
-        print("semitorsion: engine and flood fill disagree: " + "; ".join(
-            f"{name} tau {p.total} support {p.support_size} tau_z {p.tau_by_z}"
-            for name, p in (("engine", profile), ("flood fill", fill))),
-            file=sys.stderr)
+    profile = TauEngine(s).profile(a, b)
+    fill = torsion_profile(a, b)  # the independent route, at every degree
+    if profile != fill:
+        z, x, y = next((z, x, y) for z, (x, y) in enumerate(zip_longest(
+            profile.counts, fill.counts), fill.window[0]) if x != y)
+        print(f"semitorsion: engine and flood fill disagree at z={z}: engine "
+              f"{x} classes, flood fill {y}; engine tau {profile.total} "
+              f"support {profile.support_size}; flood fill tau {fill.total} "
+              f"support {fill.support_size}", file=sys.stderr)
         return 2
     print(f"tau: {profile.total}")
     print(f"support: {profile.support_size}")

@@ -9,8 +9,8 @@ The torsion totals for the pair sweeps come from `torsion.TauEngine`:
 the fiber edges of a whole batch of ideals, over every degree, are
 packed into one Python int per generator pair, and the component
 counter `_component_reps` runs on all of them at once. `oracle-compare`
-checks the engine's component counts of each sampled pair, over its
-scan window, against the flood fill of `fiber_class_count`.
+checks the engine's profile of each sampled pair, its class count at
+every degree of the scan window, against the flood fill's with one `==`.
 The half-mu sweep calls the engine once per ideal of a semigroup, in mu
 order, on it and every ideal after it, since tau and the support are
 symmetric; each call's ideals are a suffix of the first call's, so the
@@ -41,7 +41,7 @@ from .hypersurface import dual_formula, dual_symmetric
 from .huneke_wiegand import hw_check_semigroup
 from .ideals import RelativeIdeal, ideal_dual, make_ideal
 from .semigroup import NumericalSemigroup, make_semigroup
-from .torsion import TauEngine, fiber_class_count, scan_window
+from .torsion import TauEngine, torsion_profile
 
 
 def coprime_pairs(ab_max: int) -> list[tuple[int, int]]:
@@ -232,9 +232,9 @@ def _hw_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
 
 
 def _oracle_compare_records(spec: SearchSpec) -> Iterator[Block]:
-    """Seeded random tuples; on each, compare the engine's fiber graph
-    component counts over the scan window with the flood fill of every
-    fiber in it. A block holds 100 samples, so a long run streams."""
+    """Seeded random pairs of ideals; on each, compare the engine's fiber
+    class counts over the scan window with the flood fill of every fiber
+    in it. A block holds 100 samples, so a long run streams."""
     rng = random.Random(spec.seed)
     pairs = coprime_pairs(spec.ab_max)
     cache: dict[tuple[int, int], tuple[TauEngine, list[RelativeIdeal]]] = {}
@@ -248,10 +248,9 @@ def _oracle_compare_records(spec: SearchSpec) -> Iterator[Block]:
                     s, spec.window_for(a, b), spec.mu_max)])
         engine, ideals = cache[key]
         ia, ib = rng.choice(ideals), rng.choice(ideals)
-        lo, hi = scan_window(ia, ib)
-        # list equality: a count list short of the window disagrees
-        oks.append(engine.component_counts(ia.min_gens, ib.min_gens)
-                   == fiber_class_count(ia, ib, lo, hi))
+        profile = engine.profile(ia, ib)
+        oks.append(profile == torsion_profile(ia, ib))  # every degree
+        lo, hi = profile.window
         lines.append(f'{{"a":{a},"b":{b},"bound_ok":{_flag(oks[-1])},'
                      f'"fibers":{hi - lo + 1},'
                      f'"gens_A":"{_gens_key(ia.min_gens)}",'

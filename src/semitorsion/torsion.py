@@ -18,15 +18,15 @@ generator, which is exact: the copied right vertex has the neighbours of
 the original. One count reads the extra reps and their union: one
 multiply sums the byte popcounts of all lanes up to 248 bits (8k < 256
 for k bytes); wider lanes, such as the 368-bit ones of <11,29>, count
-one by one. `component_counts` builds one lane over a scan window and
-sums its reps as byte digits;
-`fiber_graph` states the edge rule for one degree. The independent
-reference uses neither the engine's ints nor the counter: a bit flood
-fill of the fibers by generator steps, one lane per degree, the lanes
-built by doubling shifts, `fiber_class_count` over a window and
-`torsion_profile` over the scan window. The records are `NamedTuple`s,
-free of `dataclasses`; a `TorsionProfile` holds only its window and its
-degrees.
+one by one. `profile` builds one lane of a pair over its scan window
+and sums its reps as byte digits; `fiber_graph` states the edge rule
+for one degree. The independent reference uses neither the engine's
+ints nor the counter: a bit flood fill of the fibers by generator
+steps, one lane per degree, the lanes built by doubling shifts,
+`fiber_class_count` over a window and `torsion_profile` over the scan
+window. Both routes give a `TorsionProfile` (a `NamedTuple`, as are all
+records, free of `dataclasses`): the class count at each degree of the
+window, compared by one `==`; the torsion numbers are read off it.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _check_ascending(*tuples: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 class TauEngine:
-    """Torsion numbers for generator tuples over one semigroup, on bit lanes."""
+    """Torsion numbers of ideals or tuples over one semigroup, on bit lanes."""
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
@@ -165,31 +165,22 @@ class TauEngine:
             tau = map(add, tau, counts[i * lanes:(i + 1) * lanes])
         return list(tau), list(counts[:lanes])
 
-    def component_counts(self, ga: tuple[int, ...],
-                         gb: tuple[int, ...]) -> list[int]:
-        """Fiber graph component counts of (ga, gb) over its scan window."""
-        ga, gb = _check_ascending(ga, gb)
-        ga, gb = (gb, ga) if len(gb) < len(ga) else (ga, gb)  # symmetric
+    def profile(self, a: RelativeIdeal, b: RelativeIdeal) -> TorsionProfile:
+        """Fiber class counts of (a, b) over its scan window, on one lane:
+        the shorter tuple gives the reps, summed as byte digits."""
+        _check_over(self.s, a, b)
+        ga, gb = sorted((a.min_gens, b.min_gens), key=len)
         spread = ga[-1] - ga[0]
         width = self.f + spread + gb[-1] - gb[0] + 1
         member, keep = self.s.window(0, width), (1 << width) - 1
         reps = self._reps(ga, [member << (g - gb[0] + spread) for g in gb],
                           {}, spread, keep)
-        counts = [0] * width  # byte w of a rep's digits: its bit w
+        counts = (0,) * width  # byte w of a rep's digits: its bit w
         for p in range(0, len(reps), _DIGIT_PASS):
             digits = sum(int.from_bytes(bin(rep)[:1:-1].encode().translate(
                 _DIGITS), "little") for rep in reps[p:p + _DIGIT_PASS])
-            counts = list(map(add, counts, digits.to_bytes(width, "little")))
-        return counts
-
-    def profile(self, ga: tuple[int, ...],
-                gb: tuple[int, ...]) -> TorsionProfile:
-        """Per-degree torsion numbers of (ga, gb) over its scan window."""
-        ga, gb = _check_ascending(ga, gb)
-        lo, hi = ga[0] + gb[0], self.f + ga[-1] + gb[-1]
-        by_z = {z: count - 1 for z, count in
-                enumerate(self.component_counts(ga, gb), lo) if count > 1}
-        return TorsionProfile((lo, hi), by_z)
+            counts = tuple(map(add, counts, digits.to_bytes(width, "little")))
+        return TorsionProfile(scan_window(a, b), counts)
 
 
 _DIGIT_PASS = 255  # reps a byte-digit sum adds with no carry
@@ -244,11 +235,16 @@ def fiber_graph(a: RelativeIdeal, b: RelativeIdeal, z: int) -> FiberGraph:
 
 
 class TorsionProfile(NamedTuple):
-    """Positive torsion numbers of a pair of ideals by degree in `window`;
-    the total and the support size are read off them."""
+    """Fiber class counts of a pair of ideals at each degree of `window`;
+    the torsion numbers, their total and support are read off them."""
 
     window: tuple[int, int]
-    tau_by_z: dict[int, int]
+    counts: tuple[int, ...]
+
+    @property
+    def tau_by_z(self) -> dict[int, int]:
+        return {z: c - 1 for z, c in enumerate(self.counts, self.window[0])
+                if c > 1}
 
     @property
     def total(self) -> int:
@@ -257,9 +253,6 @@ class TorsionProfile(NamedTuple):
     @property
     def support_size(self) -> int:
         return len(self.tau_by_z)
-
-    def __hash__(self) -> int:  # the dict is compared, not hashed
-        return hash((self.window, self.total, self.support_size))
 
 
 def scan_window(a: RelativeIdeal, b: RelativeIdeal) -> tuple[int, int]:
@@ -275,15 +268,13 @@ def scan_window(a: RelativeIdeal, b: RelativeIdeal) -> tuple[int, int]:
 
 
 def torsion_profile(a: RelativeIdeal, b: RelativeIdeal) -> TorsionProfile:
-    """Reference profile: fiber classes minus one, one window flood fill.
+    """Reference profile: the fiber classes of one window flood fill.
 
     It uses neither the engine's edge ints nor `_component_reps`, so it
     is the independent route that `TauEngine.profile` is checked against.
     """
-    lo, hi = scan_window(a, b)
-    by_z = {z: count - 1 for z, count in
-            enumerate(fiber_class_count(a, b, lo, hi), lo) if count > 1}
-    return TorsionProfile((lo, hi), by_z)
+    window = scan_window(a, b)
+    return TorsionProfile(window, tuple(fiber_class_count(a, b, *window)))
 
 
 _LANE_BITS = 1 << 15  # bits of fill lanes per int: 4 KB stays in cache
@@ -392,8 +383,7 @@ def torsion_bound_with_correction(a: RelativeIdeal, b: RelativeIdeal,
     `c` must contain the sum ideal's set (it plays the role of a product
     set that may be strictly larger than the sum of the summand sets).
     """
-    _check_over(a.semigroup, b)
-    total = TauEngine(a.semigroup).profile(a.min_gens, b.min_gens).total
+    total = TauEngine(a.semigroup).profile(a, b).total
     sum_set = ideal_sum(a, b).set
     if sum_set.difference(c):
         raise ValueError("correction set does not contain the sum ideal")

@@ -198,7 +198,7 @@ def test_criterion_7_4_oracle_agreement(exhaustive_ideals):
         for ia in ideals:
             for ib in ideals:
                 lo, hi = scan_window(ia, ib)
-                counts = engine.component_counts(ia.min_gens, ib.min_gens)
+                counts = engine.profile(ia, ib).counts
                 if len(counts) != hi - lo + 1:
                     disagreements += 1
                 for z in range(lo, hi + 1):
@@ -215,7 +215,7 @@ def test_criterion_7_4_oracle_agreement(exhaustive_ideals):
         ia = make_ideal(s, rng.choice(gens))
         ib = make_ideal(s, rng.choice(gens))
         lo, hi = scan_window(ia, ib)
-        counts = TauEngine(s).component_counts(ia.min_gens, ib.min_gens)
+        counts = TauEngine(s).profile(ia, ib).counts
         if len(counts) != hi - lo + 1:
             disagreements += 1
         for z in range(lo, hi + 1):

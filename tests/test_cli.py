@@ -13,6 +13,7 @@ import semitorsion
 import semitorsion.cli as cli
 import semitorsion.search as search
 import semitorsion.semigroup as semigroup
+import semitorsion.torsion as torsion
 from semitorsion import (MODES, SearchSpec, TauEngine, coprime_pairs,
                          make_ideal, make_semigroup)
 from semitorsion.cli import build_parser, main
@@ -147,6 +148,24 @@ class TestTau:
         assert code == 2 and out == ""
         assert "engine tau 0 support 0" in err
         assert "flood fill tau 2 support 2" in err
+
+    def test_disagreement_without_torsion_names_its_degree(self, capsys,
+                                                             monkeypatch):
+        # a fill that finds 1 class in the empty fiber at z = 1 changes no
+        # torsion number, yet the routes differ at that degree
+        true_count = torsion.fiber_class_count
+
+        def one_at_1(a, b, lo, hi):
+            counts = true_count(a, b, lo, hi)
+            counts[1 - lo] = 1
+            return counts
+
+        monkeypatch.setattr(torsion, "fiber_class_count", one_at_1)
+        code, out, err = run(capsys, "tau", "--semigroup", "5,7",
+                             "--ideal-a", "0", "--ideal-b", "0")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "disagree at z=1: engine 0 classes, flood fill 1;" in err
+        assert "engine tau 0 support 0; flood fill tau 0 support 0" in err
 
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "tau", "--semigroup", "5,11",

@@ -126,10 +126,10 @@ def test_fiber_routes_match_brute_force(pair):
     semi_gens = list(a.semigroup.generators)
     lo, hi = scan_window(a, b)
     engine = TauEngine(a.semigroup)
-    profile = engine.profile(a.min_gens, b.min_gens)
+    profile = engine.profile(a, b)
     # one counter call over the window: vertices that meet only through
     # a third close across bits of the same ints
-    counts = engine.component_counts(a.min_gens, b.min_gens)
+    counts = profile.counts
     assert len(counts) == hi - lo + 1
     for z in range(lo - 1, hi + 2):
         expected = naive_fiber_classes(semi_gens, list(a.min_gens),

@@ -27,7 +27,7 @@ FROZEN = {
                    ("z", "left_vertices", "right_vertices", "edges",
                     "component_count")),
     "TorsionProfile": (lambda: torsion_profile(A, B),
-                       ("window", "tau_by_z")),
+                       ("window", "counts")),
     "TripleReport": (lambda: irreducible_triples(S57, 1), ("count", "least")),
     "HWReport": (lambda: hw_check_semigroup(S57),
                  ("semigroup", "per_gap", "min_irreducible",

@@ -16,11 +16,11 @@ import semitorsion.hypersurface as hypersurface
 import semitorsion.ideals as ideals
 import semitorsion.search as search
 import semitorsion.semigroup as semigroup
+import semitorsion.torsion as torsion
 
 from semitorsion import (SearchSpec, TauEngine, canonical_ideal_gens,
-                         coprime_pairs, fiber_class_count, ideal_shift,
-                         make_ideal, make_semigroup, run_search, scan_window,
-                         torsion_profile)
+                         coprime_pairs, ideal_shift, make_ideal,
+                         make_semigroup, run_search, torsion_profile)
 from semitorsion.torsion import _lane_counts
 
 from conftest import Index
@@ -152,9 +152,7 @@ class TestTauEngine:
     @pytest.mark.parametrize("call", [
         lambda e, bad: e.tau_support_batch(bad, [(0, 9), (0, 1)]),
         lambda e, bad: e.tau_support_batch((0, 1), [(0, 1), bad]),
-        lambda e, bad: e.component_counts((0, 1), bad),
-        lambda e, bad: e.profile(bad, (0, 1)),
-    ], ids=["tau_support_batch", "pack", "component_counts", "profile"])
+    ], ids=["tau_support_batch", "pack"])
     def test_unsorted_tuple_raises(self, call):
         # (8, 15, 9) would understate its spread as 1, the room its
         # shifts need in a lane; () has no generator to anchor a lane.
@@ -181,7 +179,7 @@ class TestTauEngine:
         # the tuples from p on first, so a longer tuple adds its
         # differences to the table at a suffix's offset; every suffix on
         # from p must equal a fresh engine and the flood fill, and the
-        # one-lane component_counts of each pair the fill's class counts
+        # one-lane profile of each pair the fill's class counts
         s = make_semigroup(gens)
         engine = CountingEngine(s)
         gbs = sorted(canonical_ideal_gens(s, window, 3)
@@ -192,8 +190,7 @@ class TestTauEngine:
                 a, b = make_ideal(s, ga), make_ideal(s, gb)
                 profile = torsion_profile(a, b)
                 expected[ga, gb] = profile.total, profile.support_size
-                assert engine.component_counts(ga, gb) == fiber_class_count(
-                    a, b, *scan_window(a, b)), (ga, gb)
+                assert engine.profile(a, b) == profile, (ga, gb)
         assert any(tau for tau, _ in expected.values())
         for p, ga in enumerate(gbs):
             for k in range(p, len(gbs) + 1):
@@ -232,24 +229,23 @@ class TestTauEngine:
     def test_agrees_with_profile(self, a, b):
         s = make_semigroup([a, b])
         engine = TauEngine(s)
-        gens = canonical_ideal_gens(s, a + b, 3)
-        for ga in gens:
-            for gb in gens:
-                profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
-                assert engine.profile(ga, gb) == profile, (ga, gb)
+        ideals = [make_ideal(s, g) for g in canonical_ideal_gens(s, a + b, 3)]
+        for ia in ideals:
+            for ib in ideals:
+                profile = torsion_profile(ia, ib)
+                assert engine.profile(ia, ib) == profile, (ia, ib)
 
     def test_batch_grouping(self):
         s = make_semigroup([5, 7])
-        engine = TauEngine(s)
+        engine, a = TauEngine(s), make_ideal(s, (0, 1, 3))
         # the second batch has different first generators and spreads,
         # so each lane's fibers sit at their own offset in the window
         for group in ([(0, 1), (0, 2), (0, 11)], [(-2, 1), (0, 3), (5, 6)]):
             taus, supports = engine.tau_support_batch((0, 1, 3), group)
             for gb, t, c in zip(group, taus, supports):
-                single = engine.profile((0, 1, 3), gb)
+                single = engine.profile(a, make_ideal(s, gb))
                 assert (t, c) == (single.total, single.support_size), gb
-                profile = torsion_profile(make_ideal(s, (0, 1, 3)),
-                                          make_ideal(s, gb))
+                profile = torsion_profile(a, make_ideal(s, gb))
                 assert (int(t), int(c)) == (profile.total,
                                             profile.support_size), gb
 
@@ -329,8 +325,8 @@ class TestTauEngine:
         engine = TauEngine(s)
         for ga, gb in [((-4, -3), (-2, 1)), ((17, 21, 25), (0, 3, 4)),
                        ((-4, -3), (0, 1, 3))]:
-            profile = torsion_profile(make_ideal(s, ga), make_ideal(s, gb))
-            assert engine.profile(ga, gb) == profile, (ga, gb)
+            a, b = make_ideal(s, ga), make_ideal(s, gb)
+            assert engine.profile(a, b) == torsion_profile(a, b), (ga, gb)
 
 
 class TestSpec:
@@ -460,14 +456,14 @@ class TestRunSearch:
     def test_oracle_catches_one_bad_degree(self, monkeypatch, tmp_path):
         # a flood fill off by one at the top degree of each window only:
         # a comparison that skips the last degree would miss every one
-        true_count = search.fiber_class_count
+        true_count = torsion.fiber_class_count
 
         def off_at_top(a, b, lo, hi):
             counts = true_count(a, b, lo, hi)
             counts[-1] += 1  # the window's top degree
             return counts
 
-        monkeypatch.setattr(search, "fiber_class_count", off_at_top)
+        monkeypatch.setattr(torsion, "fiber_class_count", off_at_top)
         out = tmp_path / "oracle.jsonl"
         # 201 samples cross the 100-record block edge twice
         for samples in (25, 201):
@@ -486,7 +482,7 @@ class TestRunSearch:
         true_reps = TauEngine._reps
 
         def top_dropped(self, ga, *args):
-            # component_counts asks for one lane, so the top bit of `keep`,
+            # profile asks for one lane, so the top bit of `keep`,
             # the last argument, is it
             return [rep & ~((args[-1] + 1) >> 1)
                     for rep in true_reps(self, ga, *args)]
@@ -618,7 +614,7 @@ def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:
         for ga in ideals:
             # by mu_B, canonical order within each mu_B (sorted is stable)
             for gb in sorted(ideals, key=len):
-                profile = engine.profile(ga, gb)
+                profile = engine.profile(make_ideal(s, ga), make_ideal(s, gb))
                 tau, support = profile.total, profile.support_size
                 mm = len(ga) * len(gb)
                 record = {

@@ -144,6 +144,24 @@ def test_one_version():
     assert semitorsion.__version__ == project["version"]
 
 
+def test_source_parses_at_python_floor():
+    # the suite runs on a newer Python than the package promises, so the
+    # grammar of the oldest one it supports is checked here: `except*`,
+    # say, is 3.11 syntax
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    spec = tomllib.loads(pyproject.read_text())["project"]["requires-python"]
+    floor = tuple(map(int, re.fullmatch(r">=(\d+)\.(\d+)", spec).groups()))
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=floor)
+    if floor < (3, 11):
+        with pytest.raises(SyntaxError, match="only supported in Python"):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                      feature_version=floor)
+
+
 def _mentions(node, scope=""):
     """(enclosing def, identifier) for every name, attribute, import and
     string constant under `node`; defined names come with their own def."""
@@ -363,6 +381,8 @@ def test_bench_hooks_bind():
             fibers += (len(ideals) - p) * (s.frobenius + ga[-1] + max(
                 gb[-1] for gb in ideals[p:]) + 1)
     assert found[0][2] == [fibers] and fibers > 0, (found[0], fibers)
+    # the oracle fills every sample's window once, through torsion_profile
+    assert found[3][1][1] == 20, found[3]
     # one scan per gap: <2,3>, <2,5>, <2,7>, <2,9>, <3,4>, <3,5>, <4,5>
     # have genera 1 + 2 + 3 + 4 + 3 + 4 + 6
     assert found[2][1] == [23], found[2]

@@ -134,10 +134,9 @@ class TestFiberComponentCounts:
     def test_matches_graph_per_degree(self, example_511):
         a, b = example_511
         lo, hi = scan_window(a, b)
-        counts = TauEngine(a.semigroup).component_counts(a.min_gens,
-                                                         b.min_gens)
-        assert counts == [fiber_graph(a, b, z).component_count
-                          for z in range(lo, hi + 1)]
+        counts = TauEngine(a.semigroup).profile(a, b).counts
+        assert counts == tuple(fiber_graph(a, b, z).component_count
+                               for z in range(lo, hi + 1))
         # degrees 44, 45 and 55 of the worked example
         assert (counts[44 - lo], counts[45 - lo], counts[55 - lo]) == (3, 3, 1)
 
@@ -145,7 +144,7 @@ class TestFiberComponentCounts:
         s = make_semigroup([1])
         a, b = make_ideal(s, [3]), make_ideal(s, [5])
         assert scan_window(a, b) == (8, 7)
-        assert TauEngine(s).component_counts(a.min_gens, b.min_gens) == []
+        assert TauEngine(s).profile(a, b).counts == ()
 
     @pytest.mark.parametrize("cap", [255, 2, 1])
     @pytest.mark.parametrize("semi,ga,gb", [
@@ -160,10 +159,18 @@ class TestFiberComponentCounts:
         s = make_semigroup(semi)
         a, b = make_ideal(s, ga), make_ideal(s, gb)
         engine = TauEngine(s)
-        counts = engine.component_counts(a.min_gens, b.min_gens)
-        assert counts == engine.component_counts(b.min_gens, a.min_gens)
-        assert counts == fiber_class_count(a, b, *scan_window(a, b))
+        counts = engine.profile(a, b).counts
+        assert counts == engine.profile(b, a).counts
+        assert counts == tuple(fiber_class_count(a, b, *scan_window(a, b)))
         assert max(counts) == min(a.mu, b.mu)
+
+    def test_mismatch(self):
+        a = make_ideal(make_semigroup([4, 5, 6]), [4, 5])
+        b = make_ideal(make_semigroup([5, 7]), [0, 3])
+        engine = TauEngine(make_semigroup([5, 7]))
+        for pair in ((a, b), (b, a), (a, a)):
+            with pytest.raises(SemigroupMismatchError):
+                engine.profile(*pair)
 
 
 class TestComponentReps:
@@ -238,18 +245,23 @@ class TestTorsionProfile:
             assert fiber_class_count(a, b, z, z) in ([0], [1]), z
 
     def test_equality_compares_degrees(self):
-        p = TorsionProfile((0, 5), {1: 1})
-        q = TorsionProfile((0, 5), {2: 1})
-        assert p != q
-        assert p == TorsionProfile((0, 5), {1: 1})
-        assert hash(p) == hash(q)
+        # every degree's class count is compared, also where neither
+        # profile has torsion: 0 classes (an empty fiber) is not 1
+        p = TorsionProfile((0, 5), (0, 2, 1, 1, 1, 1))
+        q = TorsionProfile((0, 5), (0, 1, 2, 1, 1, 1))
+        assert p != q and p.total == q.total
+        assert p == TorsionProfile((0, 5), (0, 2, 1, 1, 1, 1))
+        assert hash(p) == hash(TorsionProfile((0, 5), (0, 2, 1, 1, 1, 1)))
+        r = TorsionProfile((0, 5), (1, 2, 1, 1, 1, 1))
+        assert r != p and r.tau_by_z == p.tau_by_z
 
     def test_totals_read_off_degrees(self):
-        # a profile stores its degrees only, so no total can disagree
-        p = TorsionProfile((0, 5), {3: 1})
-        assert (p.total, p.support_size) == (1, 1)
-        assert TorsionProfile._fields == ("window", "tau_by_z")
-        q = TorsionProfile((0, 9), {2: 3, 7: 1})
+        # a profile stores its class counts only, so no total can disagree
+        p = TorsionProfile((0, 5), (1, 1, 1, 2, 1, 1))
+        assert p.tau_by_z == {3: 1} and (p.total, p.support_size) == (1, 1)
+        assert TorsionProfile._fields == ("window", "counts")
+        q = TorsionProfile((0, 9), (0, 0, 4, 1, 1, 1, 1, 2, 1, 1))
+        assert q.tau_by_z == {2: 3, 7: 1}
         assert (q.total, q.support_size) == (4, 2)
 
     def test_independent_of_engine(self, monkeypatch):
@@ -259,8 +271,9 @@ class TestTorsionProfile:
 
         monkeypatch.setattr(torsion, "_component_reps", broken)
         monkeypatch.setattr(TauEngine, "tau_support_batch", broken)
+        s = make_semigroup([5, 11])
         with pytest.raises(RuntimeError):
-            TauEngine(make_semigroup([5, 11])).profile((0, 1), (0, 2))
+            TauEngine(s).profile(make_ideal(s, (0, 1)), make_ideal(s, (0, 2)))
         s = make_semigroup([3, 7])
         for ga, gb in [((0, 1, 2), (0, 1, 2)), ((-1, 0, 1), (0, 1)),
                        ((0, 4, 8), (0, 1, 5))]:
@@ -293,12 +306,12 @@ class TestMaximalIdeal:
         for a, b in coprime_pairs(60):
             s = make_semigroup((a, b))
             engine = TauEngine(s)
-            m = (0, b - a)  # (a, b) shifted down by a
-            ideal_m = make_ideal(s, m)
+            m = make_ideal(s, (0, b - a))  # (a, b) shifted down by a
             for gb in canonical_ideal_gens(s, s.frobenius + 1, 3)[1:]:
                 mu = len(gb)
-                for profile in (engine.profile(m, gb),
-                                torsion_profile(ideal_m, make_ideal(s, gb))):
+                ideal_b = make_ideal(s, gb)
+                for profile in (engine.profile(m, ideal_b),
+                                torsion_profile(m, ideal_b)):
                     assert (profile.total, profile.support_size) == (mu, mu), (
                         (a, b), gb)
                 checked += 1
@@ -315,15 +328,14 @@ class TestMaximalIdeal:
             while math.gcd(*semi) != 1:
                 semi = rng.sample(range(2, 25), rng.randint(2, 5))
             s = make_semigroup(semi)
-            engine = TauEngine(s)
+            engine, m = TauEngine(s), make_ideal(s, s.generators)
             for _ in range(16):
                 gens = rng.sample(range(30), rng.randint(2, 4))
-                gb = make_ideal(s, gens).min_gens
+                b = make_ideal(s, gens)
                 beta = naive_betti_1(semi, gens)
-                assert engine.profile(s.generators, gb).total == beta, (
-                    semi, gens)
+                assert engine.profile(m, b).total == beta, (semi, gens)
                 pairs += 1
-                past_mu += beta > len(gb)
+                past_mu += beta > b.mu
         assert pairs == 1280 and past_mu > 100, past_mu
 
 
@@ -449,8 +461,8 @@ class TestFiberClassCount:
         a, b = make_ideal(s, [0, 5]), make_ideal(s, [0, 7])
         lo, hi = scan_window(a, b)
         assert hi - lo + 1 == 852
-        assert fiber_class_count(a, b, lo, hi) == TauEngine(
-            s).component_counts(a.min_gens, b.min_gens)
+        assert tuple(fiber_class_count(a, b, lo, hi)) == TauEngine(
+            s).profile(a, b).counts
 
     @pytest.mark.parametrize("semi,ga,gb", [
         ([5, 11], [20, 21, 22], [0, 23, 24]),
