@@ -60,13 +60,14 @@ class CofiniteSet:
 
     @classmethod
     def from_bits(cls, threshold: int, lo: int, bits: int) -> "CofiniteSet":
-        """{lo + i : bit i of bits} together with [threshold, oo)."""
+        """{lo + i : bit i of bits} and [threshold, oo), for any int `bits`:
+        bits at or past the threshold, a negative int's tail too, drop."""
         out = object.__new__(cls)
         out._normalize(threshold, lo, bits)
         return out
 
     def _normalize(self, t: int, lo: int, bits: int) -> None:
-        lo = min(lo, t)
+        lo = t if lo > t else lo
         # the run of ones ending at t - 1 belongs to the tail
         width = (~bits & ((1 << (t - lo)) - 1)).bit_length()
         bits &= (1 << width) - 1

@@ -111,14 +111,13 @@ def boundary_cycle(ideal: RelativeIdeal) -> BoundaryCycle:
 def dual_formula(ideal: RelativeIdeal) -> RelativeIdeal:
     """Dual ideal from the ordered generator coordinates.
 
-    With generators at (x_i, y_i) the dual is generated by
-    -a*x_1 - b*y_n together with ab - a*x_{i+1} - b*y_i. Minimality of
-    the produced set is checked by `make_ideal`, not assumed.
+    With generators at (x_i, y_i) and x_{n+1} = x_1 + b, the dual is
+    generated by the ab - a*x_{i+1} - b*y_i (the last is -a*x_1 - b*y_n).
+    Minimality of the produced set is checked by `make_ideal`, not assumed.
     """
     a, b, xs, ys = _ordered_coordinates(ideal)
-    gens = [-a * xs[0] - b * ys[-1]]
-    gens.extend(a * (b - x) - b * y for x, y in zip(xs[1:], ys))
-    return make_ideal(ideal.semigroup, gens)
+    return make_ideal(ideal.semigroup, [
+        a * (b - x) - b * y for x, y in zip((*xs[1:], xs[0] + b), ys)])
 
 
 def dual_symmetric(ideal: RelativeIdeal) -> RelativeIdeal:

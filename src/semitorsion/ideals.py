@@ -3,8 +3,8 @@
 A relative ideal is a union of translates g + S; it is stored as the
 cofinite set it equals. `make_ideal` keeps generators it has checked
 minimal; any other ideal reads its minimal generating set off its set by
-`minimal_generators_of_set` on demand, once. An ideal and its dual are
-built from one membership window of S (a `CofiniteSet`); shifts move it.
+`minimal_generators_of_set` on demand, once. An ideal and its dual read
+S as one int with its tail bits set; shifts move it.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdea
 
     A generator past min + F lies in min + S and adds nothing. Below
     max + F + 1 (past it everything lies in max + S) the set is the OR
-    of the translates g + S. If no generator lies in an earlier one's
-    translate, they are the minimal generators and are kept.
+    of the translates g + S, S read as one int with its tail bits set;
+    if no generator lies in an earlier translate, all are kept as minimal.
     """
     gens = sorted(set(map(index, generators)))
     if not gens:
@@ -78,7 +78,7 @@ def make_ideal(s: NumericalSemigroup, generators: Iterable[int]) -> RelativeIdea
     if gens[-1] > cut:
         gens = [g for g in gens if g <= cut]
     t = gens[-1] + s.frobenius + 1
-    member = s.window(0, t - g0)
+    member = s.bits | -1 << s.threshold
     bits = reached = 0
     for g in gens:
         reached |= bits >> (g - g0) & 1
@@ -115,16 +115,16 @@ def ideal_dual(a: RelativeIdeal) -> RelativeIdeal:
     Membership only needs checking against the minimal generators; the
     candidate window is [-min_gen, F + 1 - min_gen) since past its top
     every shift of every generator lands above the Frobenius number.
-    Over the window the dual is the AND of S >> (g - min_gen).
+    Over it the dual is the AND of S >> (g - min_gen), S one int with
+    its tail bits set; `from_bits` drops the rest.
     """
     s = a.semigroup
     g0 = a.min_gens[0]
-    width = s.frobenius + 1
-    member = s.window(0, width + a.min_gens[-1] - g0)
-    bits = (1 << width) - 1
+    member = s.bits | -1 << s.threshold
+    bits = -1
     for g in a.min_gens:
         bits &= member >> (g - g0)
-    return RelativeIdeal(s, CofiniteSet.from_bits(width - g0, -g0, bits))
+    return RelativeIdeal(s, CofiniteSet.from_bits(s.threshold - g0, -g0, bits))
 
 
 def ideal_shift(a: RelativeIdeal, c: int) -> RelativeIdeal:

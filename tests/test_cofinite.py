@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,26 @@ class TestNormalization:
         members = [lo + i for i in range(bits.bit_length()) if bits >> i & 1]
         assert c == CofiniteSet(t, members)
         assert c.below == tuple(x for x in sorted(members) if x < c.threshold)
+
+    @given(st.integers(-8, 20), st.integers(-15, 25),
+           st.integers(-(1 << 30), -1))
+    def test_from_bits_drops_negative_tail(self, t, lo, bits):
+        # a negative int's tail bits lie at or past the threshold and go
+        # like any others there, so callers may pass S with its tail set
+        head = bits & ((1 << (t - lo)) - 1) if lo <= t else 0
+        assert (CofiniteSet.from_bits(t, lo, bits)
+                == CofiniteSet.from_bits(t, lo, head))
+
+    @pytest.mark.parametrize("t, lo, bits, expected", [
+        (5, 2, -1 << 3, CofiniteSet(5)),  # empty head, tail bits only
+        (5, 2, -1, CofiniteSet(2)),  # every bit set: [lo, oo)
+        (5, 2, -2, CofiniteSet(3)),
+        (3, 7, -1, CofiniteSet(3)),  # lo > t: no head at all
+        (3, 7, -6, CofiniteSet(3)),
+        (-4, -9, ~0b10, CofiniteSet(-4, [-9, -7, -6, -5])),
+    ])
+    def test_from_bits_negative_examples(self, t, lo, bits, expected):
+        assert CofiniteSet.from_bits(t, lo, bits) == expected
 
     @given(cofinite_sets, st.integers(-60, 60), st.integers(-5, 40))
     @settings(max_examples=150)

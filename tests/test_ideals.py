@@ -328,6 +328,36 @@ class TestDual:
             assert ideal_dual(ideal_dual(a)) == a
 
 
+@pytest.mark.parametrize("semi_gens, gens", [
+    ([1], [-1]),  # S = <1>: F = -1, S read as the int -1
+    ([1], [4, 0, 2]),
+    ([5, 7], [3, 3 + 24, 3 + 40]),  # past min + F = 26: cut
+    ([5, 7], [3, 3 + 23, 3 + 25, 3 + 60]),
+    ([4, 5, 6], [9, -4, 9, 2, -4, -3]),  # duplicate, unsorted, negative
+    ([4, 5, 6], [-6, 0, 1, 2]),  # three-generated
+    ([5, 7, 9], [11, 1, 2, -2]),
+    ([5, 6, 7, 8], [0, 1, 9, 3]),  # four-generated
+    ([7, 9, 11, 13], [-5, 20, 3, 8, 1, 52]),
+], ids=["one-member", "one-three", "cut", "cut-keeps-last", "unsorted",
+        "three-gen", "three-gen-gaps", "four-gen", "four-gen-far"])
+def test_ideal_and_dual_edge_cases(semi_gens, gens):
+    # make_ideal and ideal_dual against the brute-force helpers, on inputs
+    # the random strategies reach rarely or never
+    s = make_semigroup(semi_gens)
+    a = make_ideal(s, gens)
+    lo, bound = min(gens) - 3, a.set.threshold + 5
+    expected = naive_ideal_members(semi_gens, gens, bound)
+    assert {z for z in range(lo, bound + 1) if z in a.set} == expected
+    members = knapsack_members(semi_gens, max(gens) - min(gens))
+    assert a.min_gens == tuple(sorted(
+        g for g in set(gens)
+        if not any(h != g and g - h in members for h in gens)))
+    dual = ideal_dual(a)
+    lo, hi = dual.set.lo - 3, dual.set.threshold + 5
+    assert {z for z in range(lo, hi + 1) if z in dual.set} == \
+        naive_dual_members(semi_gens, gens, lo, hi)
+
+
 class TestShift:
     def test_examples(self):
         s = make_semigroup([5, 7])

@@ -274,6 +274,20 @@ def test_triple_scan_reads_no_window():
     assert names and not names & {"window", "below"}, names
 
 
+def test_ideal_build_reads_no_window():
+    # make_ideal and ideal_dual read S as one int with its tail bits set:
+    # a window of S per call would allocate and mask F + 1 bits or more
+    path = SRC / "ideals.py"
+    found = {}
+    for scope, name in _mentions(ast.parse(path.read_text(), str(path))):
+        if scope in ("make_ideal", "ideal_dual"):
+            found.setdefault(scope, set()).add(name)
+    assert set(found) == {"make_ideal", "ideal_dual"}, found
+    assert not {scope: names & {"window", "below"}
+                for scope, names in found.items()
+                if names & {"window", "below"}}, found
+
+
 def test_engine_counts_lanes_once():
     # the engine stacks its extra reps and their union into one int and
     # counts its lanes in one call: a count per rep pays its own round
