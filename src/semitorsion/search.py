@@ -14,17 +14,17 @@ every degree of the scan window, against the flood fill's with one `==`.
 The half-mu sweep calls the engine once per ideal of a semigroup, in mu
 order, on it and every ideal after it, since tau and the support are
 symmetric; each call's ideals are a suffix of the first call's, so the
-engine packs them once. Every mode is a runner in
-`_MODE_RUNNERS`, called as `runner(spec, *task)` per task: a pair
-(a, b), or for `oracle-compare`, whose samples share one random stream,
-the one empty task. It writes its own fixed-schema f-string next to the
-values it formats and yields blocks: one per ideal A in half-mu, one join
-with the bound read off the row minima; one per semigroup in dual and hw;
-one per 100 samples in oracle-compare, so a long run streams. A block
-carries its text, record count, failed lines and stats, folded in order.
-Every line is the one `json.dumps(record, sort_keys=True,
-separators=(",", ":"))` gives. The spec and summary are plain
-`SimpleNamespace`s, and only a pool imports `concurrent.futures`.
+engine packs them once. Every mode is a runner in `_MODE_RUNNERS`,
+called as `runner(spec, *task)` per task: a pair (a, b), or for
+`oracle-compare`, whose samples share one random stream, the one empty
+task. It writes its own fixed-schema text and yields blocks: one per
+ideal A in half-mu, one join of each pair's cell string, made once per
+(support, tau) value, with the bound read off the row minima; one per
+semigroup in dual and hw; one per 100 samples in oracle-compare, so a
+long run streams. A block carries its text, record count, failed lines
+and stats, folded in order. Every line is the one `json.dumps(record,
+sort_keys=True, separators=(",", ":"))` gives. The spec and summary are
+plain `SimpleNamespace`s, and only a pool imports `concurrent.futures`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import os
 import random
 from functools import partial
-from operator import add, index, sub
+from operator import add, getitem, index, sub
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -154,11 +154,12 @@ def _block(lines: list[str], oks: list[bool], stats: dict) -> Block:
 def _half_mu_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
     """Every ordered pair of non-principal ideals, one text block per ideal A.
 
-    Row p of the tables takes its entries before p from earlier engine
-    calls. Rows go out in canonical order of A, by mu of B within a row;
-    the block of ideal p carries the stats of row p's engine call. All
-    rows' minima bound every pair; while none is negative every line
-    holds, else only the failing lines are rewritten.
+    Engine call p, in mu order, gives row p's pairs (p, q >= p). A line
+    is a head for A, a tail for B and a cell: one string per (support,
+    tau) value, to the line's end. Row p reads its cells before p from
+    the rows above it. Rows go out in canonical order of A, each one
+    join with the stats of its engine call. While no row minimum is
+    negative every line holds, else only the failing lines are rewritten.
     """
     s = make_semigroup((a, b))
     engine = TauEngine(s)
@@ -168,34 +169,42 @@ def _half_mu_records(spec: SearchSpec, a: int, b: int) -> Iterator[Block]:
         return
     ideals = tuple(sorted(canonical, key=len))  # suffixes reuse one packing
     mus = [len(g) for g in ideals]
-    taus: list[list[int]] = []  # the rows of the tau and support tables
-    supports: list[list[int]] = []
+    uppers = [engine.tau_support_batch(ga, ideals[p:])  # (taus, supports)
+              for p, ga in enumerate(ideals)]  # of the pairs (p, q >= p)
+    tops = [max(ts) for ts, _ in uppers]
+    ends = [f'{t}}}\n' for t in range(max(tops) + 1)]  # tau to the line's end
+    values = {c: list(map(f'{c},"tau":'.__add__, ends))
+              for c in set().union(*(cs for _, cs in uppers))}
+    cells = [[values[c][t] for c, t in zip(cs, ts)] for ts, cs in uppers]
     row_stats, bound_ok = [], True  # bound_ok: no row minimum is negative
-    for p, ga in enumerate(ideals):
-        ts, cs = engine.tau_support_batch(ga, ideals[p:])
-        taus.append([row[p] for row in taus] + ts)
-        supports.append([row[p] for row in supports] + cs)
+    for p, (ts, cs) in enumerate(uppers):
         mms = [mus[p] * mb for mb in mus[p:]]
         least = [min(map(sub, map(add, ts, x), mms)) for x in (ts, cs)]
         bound_ok = bound_ok and min(least) >= 0
         row_stats.append({"min_two_tau_minus_mu_mu": least[0],
                           "min_tau_plus_support_minus_mu_mu": least[1],
-                          "max_tau": max(ts)})
+                          "max_tau": tops[p]})
     keys = [_gens_key(g) for g in ideals]
     tails = {mu_a: [f'"gens_B":"{key}","mu_A":{mu_a},"mu_B":{mb},"support":'
                     for key, mb in zip(keys, mus)] for mu_a in set(mus)}
     position = {g: p for p, g in enumerate(ideals)}
+    parts = [""] * (3 * len(ideals))  # head, tail, cell per line
     for ga in canonical:
         p, mu_a = position[ga], len(ga)
-        head = f'{{"a":{a},"b":{b},"bound_ok":true,"gens_A":"{keys[p]}",'
-        text = head + f'}}\n{head}'.join([
-            f'{tail}{c},"tau":{t}' for tail, t, c
-            in zip(tails[mu_a], taus[p], supports[p])]) + "}\n"
+        parts[::3] = [f'{{"a":{a},"b":{b},"bound_ok":true,'
+                      f'"gens_A":"{keys[p]}",'] * len(ideals)
+        parts[1::3] = tails[mu_a]
+        # the pair (q, p) for q < p is cell p - q of row q
+        parts[2:3 * p:3] = map(getitem, cells, range(p, 0, -1))
+        parts[3 * p + 2::3] = cells[p]
+        text = "".join(parts)
         if bound_ok:
             yield text, len(ideals), [], row_stats[p]
             continue
+        ts, cs = ([row[k][p - q] for q, row in enumerate(uppers[:p])]
+                  + uppers[p][k] for k in (0, 1))
         oks = [t + c >= mu_a * mb and 2 * t >= mu_a * mb
-               for t, c, mb in zip(taus[p], supports[p], mus)]
+               for t, c, mb in zip(ts, cs, mus)]
         yield _block([line if ok else line.replace(
             '"bound_ok":true', '"bound_ok":false', 1) for line, ok in zip(
                 text.splitlines(True), oks)], oks, row_stats[p])

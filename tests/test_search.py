@@ -602,9 +602,11 @@ class TestRunSearch:
         assert wide == run_search(SearchSpec(ab_max=20, mode="hw"))
 
 
-def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:
-    """The half-mu-bound stream from one engine call per ordered pair and
-    one json.dumps per record."""
+def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int,
+                         values=None) -> str:
+    """The half-mu-bound stream from one (tau, support) per ordered pair
+    and one json.dumps per record. `values(ga, gb)` gives the pair's
+    (tau, support); by default each comes from its own engine profile."""
     lines = []
     for a, b in coprime_pairs(ab_max):
         s = make_semigroup((a, b))
@@ -614,8 +616,12 @@ def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:
         for ga in ideals:
             # by mu_B, canonical order within each mu_B (sorted is stable)
             for gb in sorted(ideals, key=len):
-                profile = engine.profile(make_ideal(s, ga), make_ideal(s, gb))
-                tau, support = profile.total, profile.support_size
+                if values is None:
+                    profile = engine.profile(make_ideal(s, ga),
+                                             make_ideal(s, gb))
+                    tau, support = profile.total, profile.support_size
+                else:
+                    tau, support = values(ga, gb)
                 mm = len(ga) * len(gb)
                 record = {
                     "a": a, "b": b,
@@ -630,16 +636,53 @@ def naive_half_mu_stream(ab_max: int, mu_max: int, gen_window: int) -> str:
     return "".join(lines)
 
 
+def wide_values(ga, gb):
+    """Symmetric stand-in values: tau from 256 to 544, past the pinned
+    campaign's largest (42) and past one byte, and up to 61 supports,
+    each at most tau. Every pair passes the bound."""
+    k = sum(ga) * sum(gb) + len(ga) * len(gb)
+    return 256 + k % 97 * 3, k % 61
+
+
+def failing_values(ga, gb):
+    """Symmetric stand-in values, some under mu_A * mu_B, so that rows
+    fail the bound in part; (0,1) with itself fails."""
+    k = sum(ga) * sum(gb) + 2 * len(ga) * len(gb)
+    return k % 7, min(k % 3, k % 7)
+
+
 class TestRecordStream:
-    @pytest.mark.parametrize("gen_window", [0, 6])
-    def test_half_mu_matches_naive_reference(self, tmp_path, gen_window):
+    @pytest.mark.parametrize("gen_window,values", [
+        pytest.param(0, None, id="0"),
+        pytest.param(6, None, id="6"),
+        pytest.param(2, None, id="one-line"),  # one ideal: rows of one line
+        pytest.param(0, wide_values, id="wide-0"),
+        pytest.param(6, wide_values, id="wide-6"),
+        pytest.param(2, wide_values, id="wide-one-line"),
+        pytest.param(0, failing_values, id="failing-0"),
+        pytest.param(2, failing_values, id="failing-one-line"),
+    ])
+    def test_half_mu_matches_naive_reference(self, monkeypatch, tmp_path,
+                                             gen_window, values):
+        if values is not None:
+            monkeypatch.setattr(
+                TauEngine, "tau_support_batch", lambda self, ga, gbs: tuple(
+                    map(list, zip(*[values(ga, gb) for gb in gbs]))))
         path = tmp_path / "half.jsonl"
         summary = run_search(SearchSpec(ab_max=20, mode="half-mu-bound",
                                         mu_max=3, gen_window=gen_window,
                                         output_path=str(path)))
-        expected = naive_half_mu_stream(20, 3, gen_window)
+        expected = naive_half_mu_stream(20, 3, gen_window, values)
         assert summary.records == expected.count("\n") > 0
         assert path.read_text() == expected
+        failed = [json.loads(line) for line in expected.splitlines()
+                  if '"bound_ok":false' in line]
+        assert summary.violation_count == len(failed)
+        assert summary.violations == failed[:100]
+        if gen_window == 2:
+            assert summary.records == len(coprime_pairs(20))
+        if values is failing_values:  # with gen_window 0, rows fail in part
+            assert 0 < len(failed) < summary.records or gen_window == 2
 
     def test_violations_are_record_dicts(self, monkeypatch, tmp_path):
         # reports that fail every semigroup, with no gap and with a gap of
